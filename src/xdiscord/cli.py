@@ -125,8 +125,8 @@ def _worker_count() -> int | None:
 
 
 def _compute_state(name: str, s: XState, cfg: SearchConfig, base: LogBase) -> StateResult:
-    r3 = minimize_povm3(s, cfg, base)
     r2 = minimize_projective(s, cfg, base)
+    r3 = minimize_povm3(s, cfg, base, r2)
     d3 = discord_given_conditional_entropy(
         s, r3.best_value, (r3.best_weights, r3.best_euler), base
     ).value

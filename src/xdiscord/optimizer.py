@@ -1,7 +1,11 @@
 """Search for minimum conditional entropy over measurements.
 
-Projective case: dense (theta, phi) grid over the sphere plus the two
-axis candidates, then pattern-search refinement.
+Projective case: exact 1-D reduction. An optimal axis lies in the
+plane of z and the transverse axis with the larger |t|, so the search
+scans its z-component nz over [0, 1], endpoints included, and refines
+the best cell by golden-section search down to refine_tol. The result
+also seeds the near-projective start of the 3-element search, which
+takes it as an argument so callers that need both solve it once.
 
 3-element case: Monte-Carlo sampling over the admissible weight region
 and Euler cube, then derivative-free pattern search over the five
@@ -10,7 +14,7 @@ candidates. Steps are reset to their initial size a few times after
 each convergence so the search can escape curved valleys; weight
 iterates leaving the admissible region are projected back inside.
 
-Global sampling and grid scans run through a vectorized batch kernel;
+3-element global sampling runs through a vectorized batch kernel;
 refinement uses a scalar kernel. Both implement the same closed-form
 objective and agree to rounding error.
 """
@@ -22,17 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discord import conditional_entropy_plane, plane_direction
 from .entropy import LogBase, _plogp
 from .povm import TRIANGLE_MARGIN, EulerAngles, PovmWeights
 from .qstate import XState, bloch_params
 
 N_REFINE_CANDIDATES = 10
-N_PROJ_REFINE_CANDIDATES = 3
 RESET_ROUNDS = 3
 PHI_GRID_POINTS = 16
 ORIENT_GRID = 24
 NEAR_PROJECTIVE_MU3 = 1e-6
 PROB_FLOOR = 1e-12
+PROJ_SCAN_POINTS = 2001
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # projection box sits 1e-12 inside the admissible margins so weight
 # triples at its corners still validate strictly
@@ -55,10 +61,9 @@ class SearchConfig:
     n_global_samples: int = 20000
     n_refine_iters: int = 400
     refine_tol: float = 1e-10
-    angle_grid: int = 181
 
     def __post_init__(self):
-        if self.n_global_samples < 1 or self.n_refine_iters < 1 or self.angle_grid < 2:
+        if self.n_global_samples < 1 or self.n_refine_iters < 1:
             raise ValueError(f"counts too small in {self}")
         if not self.refine_tol > 0.0:
             raise ValueError(f"refine_tol must be positive, got {self.refine_tol!r}")
@@ -167,44 +172,6 @@ def _ce_batch(bpt, mus, eulers, scale):
     return tot * scale
 
 
-def _ce_proj_raw(bpt, theta, phi, scale):
-    """Scalar projective conditional entropy at direction (theta, phi)."""
-    A, B, t1, t2, t3 = bpt
-    sth = math.sin(theta)
-    nx, ny, nz = sth * math.cos(phi), sth * math.sin(phi), math.cos(theta)
-    tot = 0.0
-    for sgn in (1.0, -1.0):
-        den = 1.0 + A * sgn * nz
-        if den <= PROB_FLOOR:
-            continue
-        e = math.sqrt((t1 * nx) ** 2 + (t2 * ny) ** 2 + (t3 * sgn * nz + B) ** 2) / den
-        tot += 0.5 * den * _h_nats(min(e, 1.0))
-    return tot * scale
-
-
-def _ce_proj_batch(bpt, thetas, phis, scale):
-    A, B, t1, t2, t3 = bpt
-    sth = np.sin(thetas)
-    nx, ny, nz = sth * np.cos(phis), sth * np.sin(phis), np.cos(thetas)
-    tot = np.zeros(len(thetas))
-    for sgn in (1.0, -1.0):
-        den = 1.0 + A * sgn * nz
-        live = den > PROB_FLOOR
-        e = np.zeros_like(den)
-        e[live] = (
-            np.sqrt(
-                (t1 * nx[live]) ** 2
-                + (t2 * ny[live]) ** 2
-                + (t3 * sgn * nz[live] + B) ** 2
-            )
-            / den[live]
-        )
-        e = np.clip(e, 0.0, 1.0)
-        h = -(_plogp((1.0 + e) / 2.0) + _plogp((1.0 - e) / 2.0))
-        tot += np.where(live, 0.5 * den * h, 0.0)
-    return tot * scale
-
-
 def _project_weights(m1, m2):
     """Nearest point of (m1, m2, 1-m1-m2) inside the box-constrained simplex."""
     v = (m1, m2, 1.0 - m1 - m2)
@@ -271,43 +238,42 @@ def minimize_projective(
 ) -> OptResult:
     """Minimum projective conditional entropy over the unit sphere.
 
-    Deterministic: a (theta, phi) grid of resolution angle_grid seeded
-    with the two axis candidates, then refinement of the best cells.
+    Deterministic and exact up to refine_tol: the optimal axis lies in
+    the plane of conditional_entropy_plane, so a fixed scan over its
+    z-component nz in [0, 1] (both endpoints, the ali_candidate axes,
+    included) is refined by golden-section search on the cells either
+    side of the best scan point. Interior optima exist, so the whole
+    interval is scanned. The direction returned lies in the xz or the
+    yz plane.
     """
-    bpt = _bloch_tuple(s)
-    scale = _scale(base)
-    thetas = np.linspace(0.0, math.pi, cfg.angle_grid)
-    phis = np.linspace(0.0, TWO_PI, 2 * cfg.angle_grid, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    tg, pg = tg.ravel(), pg.ravel()
-    vals = _ce_proj_batch(bpt, tg, pg, scale)
-    counter = _EvalCounter()
-    counter.n += len(vals)
+    def f(nz):
+        return float(conditional_entropy_plane(s, nz, base))
 
-    order = np.argsort(vals, kind="stable")[:N_PROJ_REFINE_CANDIDATES]
-    starts = [(float(tg[i]), float(pg[i])) for i in order]
-    starts.append((0.0, 0.0))  # z axis
-    starts.append((math.pi / 2.0, 0.0))  # x axis
-
-    def f(x):
-        return _ce_proj_raw(bpt, x[0], x[1], scale)
-
-    best_x, best_f, best_conv = None, math.inf, False
-    for x0 in starts:
-        x, fx, conv = _pattern_search(f, x0, (0.05, 0.05), cfg, counter)
-        if fx < best_f:
-            best_x, best_f, best_conv = x, fx, conv
-    th, ph = best_x
-    direction = (
-        math.sin(th) * math.cos(ph),
-        math.sin(th) * math.sin(ph),
-        math.cos(th),
-    )
+    grid = np.linspace(0.0, 1.0, PROJ_SCAN_POINTS)
+    vals = conditional_entropy_plane(s, grid, base)
+    i = int(np.argmin(vals))
+    best_nz, best_f = float(grid[i]), float(vals[i])
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, PROJ_SCAN_POINTS - 1)])
+    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    n_evals = PROJ_SCAN_POINTS + 2
+    budget = n_evals + cfg.n_refine_iters
+    while hi - lo > cfg.refine_tol and n_evals < budget:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = f(x2)
+        n_evals += 1
+    best_f, best_nz = min((best_f, best_nz), (f1, x1), (f2, x2))
     return OptResult(
         best_value=best_f,
-        n_evals=counter.n,
-        converged=best_conv,
-        best_direction=direction,
+        n_evals=n_evals,
+        converged=hi - lo <= cfg.refine_tol,
+        best_direction=plane_direction(s, best_nz),
     )
 
 
@@ -332,14 +298,13 @@ def _sample_weights_batch(rng, n):
     return np.concatenate(rows)[:n]
 
 
-def _near_projective_start(s, cfg, base):
-    """Candidate mimicking the best projective measurement.
+def _near_projective_start(proj):
+    """Candidate mimicking the best projective measurement proj.
 
     Two weights sit just inside the half cap and the first direction is
     aligned with the optimal projective axis, so refinement starts from
     (almost) the projective optimum and can only improve on it.
     """
-    proj = minimize_projective(s, cfg, base)
     nx, ny, nz = proj.best_direction
     snorm = math.hypot(ny, nz)
     phi = math.atan2(snorm, nx)
@@ -354,14 +319,21 @@ def _povm3_project(trial):
 
 
 def minimize_povm3(
-    s: XState, cfg: SearchConfig = SearchConfig(), base: LogBase = LogBase.BITS
+    s: XState,
+    cfg: SearchConfig = SearchConfig(),
+    base: LogBase = LogBase.BITS,
+    proj: OptResult | None = None,
 ) -> OptResult:
     """Minimum 3-element POVM conditional entropy.
 
     Monte-Carlo over (weights, Euler angles), then pattern-search
-    refinement of the best candidates plus a near-projective start.
+    refinement of the best candidates plus a near-projective start
+    seeded from proj, the result of minimize_projective(s, cfg, base);
+    it is solved here when omitted, with bit-identical results.
     Deterministic for a fixed config.
     """
+    if proj is None:
+        proj = minimize_projective(s, cfg, base)
     bpt = _bloch_tuple(s)
     scale = _scale(base)
     rng = np.random.default_rng(cfg.seed)
@@ -377,7 +349,7 @@ def minimize_povm3(
          float(eulers[i, 0]), float(eulers[i, 1]), float(eulers[i, 2]))
         for i in order
     ]
-    starts.append(_near_projective_start(s, cfg, base))
+    starts.append(_near_projective_start(proj))
 
     def f(x):
         return _ce_raw(bpt, x[0], x[1], 1.0 - x[0] - x[1], x[2], x[3], x[4], scale)

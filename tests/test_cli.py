@@ -19,6 +19,7 @@ from xdiscord.cli import (
     render_table,
     run_report,
 )
+from xdiscord import cli, optimizer
 from xdiscord.entropy import LogBase
 from xdiscord.errors import ParseError
 from xdiscord.optimizer import SearchConfig
@@ -113,6 +114,36 @@ class TestRunReport:
         assert abs(nats.delta2 - bits.delta2 * math.log(2.0)) <= 1e-9
         assert abs(nats.delta3_min - bits.delta3_min * math.log(2.0)) <= 1e-4
         assert abs(nats.delta2_min - bits.delta2_min * math.log(2.0)) <= 1e-4
+
+
+    def test_yaxis_pair_has_zero_axis_discord(self):
+        # t1 = 0, t2 = -0.8 and its eps-flipped partner t1 = 0.8, t2 = 0:
+        # the best axis is y, then x, and both states are classical on it
+        states = [
+            ("yaxis", xstate_from_entries(0.25, 0.25, 0.25, 0.25, 0.2, -0.2)),
+            ("yaxis_swap", xstate_from_entries(0.25, 0.25, 0.25, 0.25, 0.2, 0.2)),
+        ]
+        y, swap = run_report(states, QUICK, LogBase.BITS).results
+        for r in (y, swap):
+            assert abs(r.delta2) <= 1e-12
+            assert abs(r.delta2_min) <= 1e-12
+        assert (y.delta3_min, y.delta2_min, y.delta2) == (
+            swap.delta3_min, swap.delta2_min, swap.delta2
+        )
+
+    def test_projective_solved_once_per_state(self, monkeypatch):
+        calls = []
+        solve = optimizer.minimize_projective
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "minimize_projective", counted)
+        monkeypatch.setattr(optimizer, "minimize_projective", counted)
+        states = [(name, xstate_from_entries(*e)) for name, e in BENCH_ENTRIES.items()]
+        run_report(states, SearchConfig(seed=3, n_global_samples=500), LogBase.BITS)
+        assert sorted(map(id, calls)) == sorted(id(s) for _, s in states)
 
 
 class TestRenderers:

@@ -27,6 +27,9 @@ from xdiscord.qstate import bloch_params, xstate_from_entries
 
 Z_AXIS = (0.0, 0.0, 1.0)
 X_AXIS = (1.0, 0.0, 0.0)
+Y_AXIS = (0.0, 1.0, 0.0)
+# t1 = 0, t2 = -0.8: the best axis is y, and discord is 0
+YAXIS_ENTRIES = (0.25, 0.25, 0.25, 0.25, 0.2, -0.2)
 
 
 def random_povm(rng):
@@ -225,9 +228,13 @@ class TestAliCandidate:
             assert abs(dv.value - target) <= 1e-5 * math.log(2.0)
 
     def test_witness_is_one_of_the_axes(self, bench_states):
-        for s in bench_states.values():
+        axes = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
+        yaxis = xstate_from_entries(*YAXIS_ENTRIES)
+        for s in [*bench_states.values(), yaxis]:
             dv = ali_candidate(s, LogBase.BITS)
-            assert dv.witness["axis"] in ("z", "x")
+            assert dv.witness["axis"] in axes
+            assert tuple(dv.witness["direction"]) == axes[dv.witness["axis"]]
+        assert ali_candidate(yaxis, LogBase.BITS).witness["axis"] == "y"
 
     def test_value_is_min_over_axes(self, rng):
         for _ in range(200):
@@ -235,7 +242,8 @@ class TestAliCandidate:
             dv = ali_candidate(s, LogBase.BITS)
             ce_z = conditional_entropy_projective(s, Z_AXIS, LogBase.BITS)
             ce_x = conditional_entropy_projective(s, X_AXIS, LogBase.BITS)
-            assert_allclose(dv.conditional_entropy, min(ce_z, ce_x), atol=1e-15)
+            ce_y = conditional_entropy_projective(s, Y_AXIS, LogBase.BITS)
+            assert_allclose(dv.conditional_entropy, min(ce_z, ce_x, ce_y), atol=1e-15)
 
     def test_base_consistency(self, bench_states):
         for s in bench_states.values():

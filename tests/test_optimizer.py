@@ -3,19 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import random_xstate_entries
+from oracles import random_unit_vector, random_xstate_entries
 from xdiscord.discord import (
+    ali_candidate,
+    conditional_entropy_plane,
     conditional_entropy_povm3,
     conditional_entropy_projective,
     discord_given_conditional_entropy,
+    plane_direction,
 )
 from xdiscord.entropy import LogBase
 from xdiscord.optimizer import (
     SearchConfig,
     _ce_batch,
-    _ce_proj_raw,
     _ce_raw,
     _bloch_tuple,
     _sample_weights_batch,
@@ -69,20 +73,19 @@ class TestKernels:
             raw = _ce_raw(bpt, *mus[i], *eulers[i], 1.0 / LN2)
             assert_allclose(batch[i], raw, atol=1e-13)
 
-    def test_projective_scalar_matches_public_path(self, bench_states, rng):
-        s = bench_states["rho1"]
-        bpt = _bloch_tuple(s)
-        for _ in range(200):
-            theta = rng.uniform(0.0, math.pi)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            n = (
-                math.sin(theta) * math.cos(phi),
-                math.sin(theta) * math.sin(phi),
-                math.cos(theta),
-            )
-            public = conditional_entropy_projective(s, n, LogBase.BITS)
-            raw = _ce_proj_raw(bpt, theta, phi, 1.0 / LN2)
-            assert_allclose(raw, public, atol=1e-12)
+    def test_plane_kernel_matches_public_path(self, rng):
+        # |t1| > |t2| puts the plane on x; the eps-flipped partner swaps
+        # t1 and t2 and puts it on y
+        a, b, c, d, eps, delta = 0.3, 0.2, 0.1, 0.4, 0.25, 0.1
+        for e, axis in ((eps, 0), (-eps, 1)):
+            s = xstate_from_entries(a, b, c, d, e, delta)
+            nz = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=200)])
+            kernel = conditional_entropy_plane(s, nz, LogBase.BITS)
+            for z, k in zip(nz, kernel):
+                n = plane_direction(s, z)
+                assert n[1 - axis] == 0.0 and n[axis] >= 0.0
+                public = conditional_entropy_projective(s, n, LogBase.BITS)
+                assert_allclose(k, public, atol=1e-12)
 
 
 class TestSampleWeightsBatch:
@@ -129,8 +132,56 @@ class TestMinimizeProjective:
         for _ in range(10):
             s = xstate_from_entries(*random_xstate_entries(rng))
             res = minimize_projective(s, QUICK)
-            for n in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)):
+            for n in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
                 assert res.best_value <= conditional_entropy_projective(s, n) + 1e-12
+
+
+@st.composite
+def positive_xstates(draw):
+    """Entries of a positive X state: a normalized diagonal and coherences
+    strictly inside the block-positivity disks."""
+    diag = draw(st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=4))
+    a, b, c, d = (x / sum(diag) for x in diag)
+    u, v = draw(st.lists(st.floats(-0.999, 0.999), min_size=2, max_size=2))
+    return a, b, c, d, u * math.sqrt(a * d), v * math.sqrt(b * c)
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestProjectiveProperties:
+    @PROPERTY_SETTINGS
+    @given(positive_xstates())
+    def test_invariant_under_eps_flip(self, entries):
+        a, b, c, d, eps, delta = entries
+        s = xstate_from_entries(*entries)
+        flipped = xstate_from_entries(a, b, c, d, -eps, delta)
+        assert_allclose(
+            minimize_projective(flipped, QUICK).best_value,
+            minimize_projective(s, QUICK).best_value,
+            rtol=0.0, atol=1e-12,
+        )
+        assert_allclose(
+            ali_candidate(flipped).conditional_entropy,
+            ali_candidate(s).conditional_entropy,
+            rtol=0.0, atol=1e-12,
+        )
+
+    @PROPERTY_SETTINGS
+    @given(positive_xstates())
+    def test_never_above_ali_candidate(self, entries):
+        s = xstate_from_entries(*entries)
+        assert minimize_projective(s, QUICK).best_value <= ali_candidate(s).conditional_entropy
+
+    @PROPERTY_SETTINGS
+    @given(positive_xstates(), st.integers(0, 2**32 - 1))
+    def test_never_above_random_directions(self, entries, seed):
+        s = xstate_from_entries(*entries)
+        rng = np.random.default_rng(seed)
+        sampled = min(
+            conditional_entropy_projective(s, random_unit_vector(rng)) for _ in range(300)
+        )
+        assert minimize_projective(s, QUICK).best_value <= sampled + 1e-12
 
 
 class TestMinimizePovm3:
@@ -150,6 +201,16 @@ class TestMinimizePovm3:
         assert r1.best_weights == r2.best_weights
         assert r1.best_euler == r2.best_euler
         assert r1.n_evals == r2.n_evals
+
+    def test_precomputed_projective_is_bit_identical(self, rng):
+        s = xstate_from_entries(*random_xstate_entries(rng))
+        for base in LogBase:
+            own = minimize_povm3(s, QUICK, base)
+            passed = minimize_povm3(s, QUICK, base, minimize_projective(s, QUICK, base))
+            assert own.best_value == passed.best_value
+            assert own.best_weights == passed.best_weights
+            assert own.best_euler == passed.best_euler
+            assert own.n_evals == passed.n_evals
 
     def test_refinement_monotone_vs_global_stage(self, bench_states):
         # replay the sampling stage and confirm refinement only improved it
