@@ -18,9 +18,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -111,19 +109,6 @@ def load_benchmarks() -> list[tuple[str, XState]]:
     return parse_state_file(text)
 
 
-def _worker_count() -> int | None:
-    raw = os.environ.get("DISCORD_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as e:
-        raise ParseError(f"DISCORD_THREADS must be an integer, got {raw!r}") from e
-    if n < 1:
-        raise ParseError(f"DISCORD_THREADS must be positive, got {n}")
-    return n
-
-
 def _compute_state(name: str, s: XState, cfg: SearchConfig, base: LogBase) -> StateResult:
     r2 = minimize_projective(s, cfg, base)
     r3 = minimize_povm3(s, cfg, base, r2)
@@ -147,12 +132,8 @@ def _compute_state(name: str, s: XState, cfg: SearchConfig, base: LogBase) -> St
 
 def run_report(states, cfg: SearchConfig, base: LogBase) -> DiscordReport:
     """Compute the three-strategy comparison for every state, in input order."""
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(
-            pool.map(lambda ns: _compute_state(ns[0], ns[1], cfg, base), states)
-        )
     return DiscordReport(
-        results=tuple(results),
+        results=tuple(_compute_state(name, s, cfg, base) for name, s in states),
         base=base,
         seed=cfg.seed,
         n_global_samples=cfg.n_global_samples,

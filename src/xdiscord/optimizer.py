@@ -12,7 +12,9 @@ and Euler cube, then derivative-free pattern search over the five
 effective coordinates (mu1, mu2, psi, theta, phi) from the best
 candidates. Steps are reset to their initial size a few times after
 each convergence so the search can escape curved valleys; weight
-iterates leaving the admissible region are projected back inside.
+iterates leaving the admissible region are projected exactly onto the
+admissible box (the Euclidean projection has a piecewise-linear closed
+form, so no iteration is needed).
 
 3-element global sampling runs through a vectorized batch kernel;
 refinement uses a scalar kernel. Both implement the same closed-form
@@ -173,42 +175,48 @@ def _ce_batch(bpt, mus, eulers, scale):
 
 
 def _project_weights(m1, m2):
-    """Nearest point of (m1, m2, 1-m1-m2) inside the box-constrained simplex."""
+    """Nearest point of (m1, m2, 1-m1-m2) inside the box-constrained simplex.
+
+    The projection is clip(v - lam, PROJ_LO, PROJ_HI) for the lam at
+    which the clipped entries sum to 1. That sum falls continuously in
+    lam and is linear between consecutive breakpoints v_i - PROJ_HI,
+    v_i - PROJ_LO, where an entry leaves or reaches a bound, so linear
+    interpolation between the two breakpoints that bracket 1 is exact.
+    """
     v = (m1, m2, 1.0 - m1 - m2)
     if all(PROJ_LO <= x <= PROJ_HI for x in v):
         return m1, m2
-    lo_l, hi_l = min(v) - 2.0, max(v) + 2.0
-    for _ in range(100):
-        lam = (lo_l + hi_l) / 2.0
-        s = sum(min(max(x - lam, PROJ_LO), PROJ_HI) for x in v)
-        if s > 1.0:
-            lo_l = lam
-        else:
-            hi_l = lam
-    lam = (lo_l + hi_l) / 2.0
+
+    def clipped_sum(lam):
+        return sum(min(max(x - lam, PROJ_LO), PROJ_HI) for x in v)
+
+    # below the first breakpoint the sum is 3 * PROJ_HI > 1, above the
+    # last it is 3 * PROJ_LO < 1
+    knots = sorted([x - PROJ_HI for x in v] + [x - PROJ_LO for x in v])
+    lo, s_lo = knots[0], clipped_sum(knots[0])
+    for hi in knots[1:]:
+        s_hi = clipped_sum(hi)
+        if s_hi <= 1.0:
+            break
+        lo, s_lo = hi, s_hi
+    lam = lo + (s_lo - 1.0) / (s_lo - s_hi) * (hi - lo)
     w1 = min(max(v[0] - lam, PROJ_LO), PROJ_HI)
     w2 = min(max(v[1] - lam, PROJ_LO), PROJ_HI)
     return w1, w2
 
 
-class _EvalCounter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-def _pattern_search(f, x0, steps0, cfg, counter, project=None):
+def _pattern_search(f, x0, steps0, cfg, project=None):
     """Greedy coordinate pattern search with step-reset rounds.
 
     Accepts any strict improvement along a coordinate step; halves all
     steps when a full sweep yields none. After converging, steps reset
     to their initial size and the search repeats, which lets the
-    iterate continue along valleys not aligned with the axes.
+    iterate continue along valleys not aligned with the axes. Returns
+    (x, f(x), converged, number of f evaluations).
     """
     x = list(x0)
     fx = f(x)
-    counter.n += 1
+    n_evals = 1
     converged = False
     for _ in range(RESET_ROUNDS):
         steps = list(steps0)
@@ -222,7 +230,7 @@ def _pattern_search(f, x0, steps0, cfg, counter, project=None):
                     if project is not None:
                         trial = project(trial)
                     ft = f(trial)
-                    counter.n += 1
+                    n_evals += 1
                     if ft < fx - IMPROVE_EPS * max(1.0, abs(fx)):
                         x, fx = trial, ft
                         moved = True
@@ -230,7 +238,7 @@ def _pattern_search(f, x0, steps0, cfg, counter, project=None):
                 steps = [s / 2.0 for s in steps]
             sweeps += 1
         converged = max(steps) <= cfg.refine_tol
-    return x, fx, converged
+    return x, fx, converged, n_evals
 
 
 def minimize_projective(
@@ -340,8 +348,7 @@ def minimize_povm3(
     mus = _sample_weights_batch(rng, cfg.n_global_samples)
     eulers = rng.uniform(0.0, TWO_PI, size=(cfg.n_global_samples, 3))
     vals = _ce_batch(bpt, mus, eulers, scale)
-    counter = _EvalCounter()
-    counter.n += len(vals)
+    n_evals = len(vals)
 
     order = np.argsort(vals, kind="stable")[:N_REFINE_CANDIDATES]
     starts = [
@@ -356,16 +363,17 @@ def minimize_povm3(
 
     best_x, best_f, best_conv = None, math.inf, False
     for x0 in starts:
-        x, fx, conv = _pattern_search(
-            f, x0, (0.02, 0.02, 0.1, 0.1, 0.1), cfg, counter, project=_povm3_project
+        x, fx, conv, n = _pattern_search(
+            f, x0, (0.02, 0.02, 0.1, 0.1, 0.1), cfg, project=_povm3_project
         )
+        n_evals += n
         if fx < best_f:
             best_x, best_f, best_conv = x, fx, conv
     weights = PovmWeights(best_x[0], best_x[1], 1.0 - best_x[0] - best_x[1])
     euler = EulerAngles(best_x[2], best_x[3], best_x[4])
     return OptResult(
         best_value=best_f,
-        n_evals=counter.n,
+        n_evals=n_evals,
         converged=best_conv,
         best_weights=weights,
         best_euler=euler,
@@ -388,7 +396,6 @@ def phi_invariance_audit(
     w = best.best_weights
     m1, m2, m3 = w.mu1, w.mu2, w.mu3
     psi0, th0 = best.best_euler.psi, best.best_euler.theta
-    counter = _EvalCounter()
 
     g = np.linspace(0.0, TWO_PI, ORIENT_GRID, endpoint=False)
     gp, gt = np.meshgrid(g, g, indexing="ij")
@@ -398,7 +405,6 @@ def phi_invariance_audit(
     for phi in np.linspace(0.0, TWO_PI, PHI_GRID_POINTS, endpoint=False):
         eulers = np.column_stack([gp.ravel(), gt.ravel(), np.full(gp.size, phi)])
         vals = _ce_batch(bpt, grid_mus, eulers, scale)
-        counter.n += len(vals)
         i = int(np.argmin(vals))
         cands = [(gp.ravel()[i], gt.ravel()[i]), (psi0, th0)]
 
@@ -407,7 +413,7 @@ def phi_invariance_audit(
 
         fx_best = math.inf
         for x0 in cands:
-            _, fx, _ = _pattern_search(f, x0, (0.2, 0.2), cfg, counter)
+            fx = _pattern_search(f, x0, (0.2, 0.2), cfg)[1]
             fx_best = min(fx_best, fx)
         phi_values.append(float(phi))
         ce_values.append(fx_best)

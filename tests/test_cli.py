@@ -232,19 +232,6 @@ class TestMain:
         assert payload["results"][0]["name"] == "mix"
         assert payload["seed"] == 7
 
-    def test_thread_cap_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DISCORD_THREADS", "2")
-        f = tmp_path / "states.json"
-        f.write_text("[]")
-        assert main(["run", "--states", str(f), "--format", "csv"]) == 0
-
-    def test_bad_thread_env_fails(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DISCORD_THREADS", "many")
-        f = tmp_path / "states.json"
-        f.write_text("[]")
-        assert main(["run", "--states", str(f)]) == 1
-        assert "DISCORD_THREADS" in capsys.readouterr().err
-
 
 def test_report_equality_and_types():
     rep = mixed_report()

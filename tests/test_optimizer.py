@@ -18,10 +18,13 @@ from xdiscord.discord import (
 )
 from xdiscord.entropy import LogBase
 from xdiscord.optimizer import (
+    PROJ_HI,
+    PROJ_LO,
     SearchConfig,
     _ce_batch,
     _ce_raw,
     _bloch_tuple,
+    _project_weights,
     _sample_weights_batch,
     minimize_povm3,
     minimize_projective,
@@ -100,6 +103,66 @@ class TestSampleWeightsBatch:
         a = _sample_weights_batch(np.random.default_rng(11), 100)
         b = _sample_weights_batch(np.random.default_rng(11), 100)
         assert np.array_equal(a, b)
+
+
+def bisect_projection(m1, m2, steps=200):
+    """Reference projection: bisection on the shift lam of the clipped sum."""
+    v = (m1, m2, 1.0 - m1 - m2)
+    lo, hi = min(v) - 2.0, max(v) + 2.0
+    for _ in range(steps):
+        lam = (lo + hi) / 2.0
+        if sum(min(max(x - lam, PROJ_LO), PROJ_HI) for x in v) > 1.0:
+            lo = lam
+        else:
+            hi = lam
+    lam = (lo + hi) / 2.0
+    return tuple(min(max(x - lam, PROJ_LO), PROJ_HI) for x in v[:2])
+
+
+def _with_neighbours(x):
+    return st.sampled_from((x, math.nextafter(x, -1.0), math.nextafter(x, 2.0)))
+
+
+# coordinates of the box's corners and edges in the (m1, m2) plane, and
+# their floating-point neighbours
+box_values = st.sampled_from(
+    (PROJ_LO, PROJ_HI, 1.0 - 2.0 * PROJ_HI, 1.0 - PROJ_LO - PROJ_HI)
+).flatmap(_with_neighbours)
+plane_values = st.floats(-0.1, 0.6)
+weight_points = st.one_of(
+    st.tuples(plane_values, plane_values),
+    st.tuples(box_values, plane_values),
+    st.tuples(plane_values, box_values),
+    st.tuples(box_values, box_values),
+    # on the face where the third weight sits at PROJ_HI
+    plane_values.map(lambda m1: (m1, 1.0 - PROJ_HI - m1)),
+)
+
+PROJECTION_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+
+class TestProjectWeights:
+    @PROJECTION_SETTINGS
+    @given(weight_points)
+    def test_inside_points_unchanged(self, point):
+        m1, m2 = point
+        if all(PROJ_LO <= x <= PROJ_HI for x in (m1, m2, 1.0 - m1 - m2)):
+            assert _project_weights(m1, m2) == (m1, m2)
+
+    @PROJECTION_SETTINGS
+    @given(weight_points)
+    def test_output_in_box_and_admissible(self, point):
+        w1, w2 = _project_weights(*point)
+        w3 = 1.0 - w1 - w2
+        assert PROJ_LO <= w1 <= PROJ_HI
+        assert PROJ_LO <= w2 <= PROJ_HI
+        assert PROJ_LO - 1e-15 <= w3 <= PROJ_HI + 1e-15
+        PovmWeights(w1, w2, w3)
+
+    @PROJECTION_SETTINGS
+    @given(weight_points)
+    def test_matches_reference_bisection(self, point):
+        assert_allclose(_project_weights(*point), bisect_projection(*point), rtol=0.0, atol=1e-15)
 
 
 class TestMinimizeProjective:
@@ -235,10 +298,7 @@ class TestMinimizePovm3:
         for s in bench_states.values():
             d3 = minimize_povm3(s, SearchConfig()).best_value
             d2m = minimize_projective(s, SearchConfig()).best_value
-            d2 = min(
-                conditional_entropy_projective(s, n)
-                for n in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
-            )
+            d2 = ali_candidate(s).conditional_entropy
             assert d3 <= d2m + 1e-9
             assert d2m <= d2 + 1e-9
 
