@@ -14,7 +14,11 @@ candidates. Steps are reset to their initial size a few times after
 each convergence so the search can escape curved valleys; weight
 iterates leaving the admissible region are projected exactly onto the
 admissible box (the Euclidean projection has a piecewise-linear closed
-form, so no iteration is needed).
+form, so no iteration is needed). The starts are refined in turn, and
+a start stops after any reset round that ends above the best value of
+the starts before it: it cannot win, since the incumbent only falls.
+The winning (weights, Euler angles) always rebuilds into a POVM through
+povm.build_povm3, degenerate (near-projective) optima included.
 
 3-element global sampling runs through a vectorized batch kernel;
 refinement uses a scalar kernel. Both implement the same closed-form
@@ -41,6 +45,8 @@ NEAR_PROJECTIVE_MU3 = 1e-6
 PROB_FLOOR = 1e-12
 PROJ_SCAN_POINTS = 2001
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# initial pattern-search steps over (mu1, mu2, psi, theta, phi)
+POVM3_STEPS = (0.02, 0.02, 0.1, 0.1, 0.1)
 
 # projection box sits 1e-12 inside the admissible margins so weight
 # triples at its corners still validate strictly
@@ -79,7 +85,8 @@ class OptResult:
     (best_weights, best_euler) for the 3-element case and
     best_direction for the projective case. converged reports whether
     the refinement that produced best_value shrank its steps below
-    refine_tol (other, dominated starts may stop at the sweep budget).
+    refine_tol (other, dominated starts may stop at the sweep budget, or
+    after a reset round that leaves them above the incumbent).
     """
 
     best_value: float
@@ -205,16 +212,29 @@ def _project_weights(m1, m2):
     return w1, w2
 
 
-def _pattern_search(f, x0, steps0, cfg, project=None):
+def _pattern_search(f, x0, steps0, cfg, weights=False, incumbent=math.inf):
     """Greedy coordinate pattern search with step-reset rounds.
 
     Accepts any strict improvement along a coordinate step; halves all
     steps when a full sweep yields none. After converging, steps reset
     to their initial size and the search repeats, which lets the
-    iterate continue along valleys not aligned with the axes. Returns
-    (x, f(x), converged, number of f evaluations).
+    iterate continue along valleys not aligned with the axes.
+
+    With weights true, x[0] and x[1] are the weights mu1, mu2: the
+    start is projected onto the admissible box once, and only trials
+    that move one of them are projected again, since trials along the
+    other coordinates leave the weights unchanged and in the box.
+
+    incumbent is the best value of the starts already refined. The
+    search returns after any reset round that ends above it: the start
+    cannot win, since further rounds would have to overtake an
+    incumbent that only falls.
+
+    Returns (x, f(x), converged, number of f evaluations).
     """
     x = list(x0)
+    if weights:
+        x[0], x[1] = _project_weights(x[0], x[1])
     fx = f(x)
     n_evals = 1
     converged = False
@@ -227,8 +247,8 @@ def _pattern_search(f, x0, steps0, cfg, project=None):
                 for sgn in (1.0, -1.0):
                     trial = x.copy()
                     trial[i] += sgn * steps[i]
-                    if project is not None:
-                        trial = project(trial)
+                    if weights and i < 2:
+                        trial[0], trial[1] = _project_weights(trial[0], trial[1])
                     ft = f(trial)
                     n_evals += 1
                     if ft < fx - IMPROVE_EPS * max(1.0, abs(fx)):
@@ -238,6 +258,8 @@ def _pattern_search(f, x0, steps0, cfg, project=None):
                 steps = [s / 2.0 for s in steps]
             sweeps += 1
         converged = max(steps) <= cfg.refine_tol
+        if fx > incumbent:
+            break
     return x, fx, converged, n_evals
 
 
@@ -321,11 +343,6 @@ def _near_projective_start(proj):
     return (c, c, 0.0, theta, phi)
 
 
-def _povm3_project(trial):
-    w1, w2 = _project_weights(trial[0], trial[1])
-    return [w1, w2, trial[2], trial[3], trial[4]]
-
-
 def minimize_povm3(
     s: XState,
     cfg: SearchConfig = SearchConfig(),
@@ -364,7 +381,7 @@ def minimize_povm3(
     best_x, best_f, best_conv = None, math.inf, False
     for x0 in starts:
         x, fx, conv, n = _pattern_search(
-            f, x0, (0.02, 0.02, 0.1, 0.1, 0.1), cfg, project=_povm3_project
+            f, x0, POVM3_STEPS, cfg, weights=True, incumbent=best_f
         )
         n_evals += n
         if fx < best_f:

@@ -18,7 +18,6 @@ from .errors import DegenerateError
 
 TRIANGLE_MARGIN = 1e-9
 SUM_TOL = 1e-12
-ANGLE_ARG_TOL = 1e-12
 ANGLE_SUM_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
 UNIT_TOL = 1e-12
@@ -133,23 +132,35 @@ class Povm3:
         return out
 
 
-def angles_from_weights(w: PovmWeights) -> TriangleAngles:
-    """Triangle angles from the law-of-cosines relations.
+def _interior_angle(a: float, b: float, c: float) -> float:
+    """Angle opposite side c in the triangle with sides a, b, c.
 
-    Raises DegenerateError if any arccos argument is not strictly
-    inside (-1, 1), which happens only for edge-of-region weights.
+    Kahan's formula for needle-like triangles ("Miscalculating Area and
+    Angles of a Needle-like Triangle"): accurate to a few ulps however
+    thin the triangle, where the law-of-cosines arccos loses half its
+    digits and rounds to the edge of its domain.
+    """
+    if a < b:
+        a, b = b, a
+    mu = c - (a - b) if b >= c else b - (a - c)
+    return 2.0 * math.atan(math.sqrt(((a - b) + c) * mu / ((a + (b + c)) * ((a - c) + b))))
+
+
+def angles_from_weights(w: PovmWeights) -> TriangleAngles:
+    """Pairwise direction angles of the POVM with weights w.
+
+    Completeness makes the weighted directions mu_k m_k close a
+    triangle with sides mu1, mu2, mu3, so theta_ij is pi less the
+    interior angle opposite mu_k, taken by Kahan's needle-triangle
+    formula; it stays exact up to the edge of the weight region, where
+    the law of cosines does not.
     """
     m1, m2, m3 = w.mu1, w.mu2, w.mu3
-    args = (
-        (m3 * m3 - m1 * m1 - m2 * m2) / (2.0 * m1 * m2),
-        (m1 * m1 - m2 * m2 - m3 * m3) / (2.0 * m2 * m3),
-        (m2 * m2 - m1 * m1 - m3 * m3) / (2.0 * m1 * m3),
+    return TriangleAngles(
+        math.pi - _interior_angle(m1, m2, m3),
+        math.pi - _interior_angle(m2, m3, m1),
+        math.pi - _interior_angle(m1, m3, m2),
     )
-    for arg in args:
-        if not -1.0 + ANGLE_ARG_TOL < arg < 1.0 - ANGLE_ARG_TOL:
-            raise DegenerateError(f"arccos argument {arg!r} at region edge")
-    t12, t23, t13 = (math.acos(a) for a in args)
-    return TriangleAngles(t12, t23, t13)
 
 
 def planar_directions(t: TriangleAngles) -> np.ndarray:

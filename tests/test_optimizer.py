@@ -18,12 +18,16 @@ from xdiscord.discord import (
 )
 from xdiscord.entropy import LogBase
 from xdiscord.optimizer import (
+    N_REFINE_CANDIDATES,
+    POVM3_STEPS,
     PROJ_HI,
     PROJ_LO,
     SearchConfig,
     _ce_batch,
     _ce_raw,
     _bloch_tuple,
+    _near_projective_start,
+    _pattern_search,
     _project_weights,
     _sample_weights_batch,
     minimize_povm3,
@@ -315,6 +319,69 @@ class TestMinimizePovm3:
             s = xstate_from_entries(*random_xstate_entries(rng))
             res = minimize_povm3(s, SearchConfig(seed=1, n_global_samples=1000))
             assert discord_of(s, res.best_value) >= -1e-8
+
+
+def povm3_starts(s, cfg):
+    """The objective of minimize_povm3(s, cfg) in bits, and its starts in
+    the order it refines them."""
+    bpt = _bloch_tuple(s)
+    rng = np.random.default_rng(cfg.seed)
+    mus = _sample_weights_batch(rng, cfg.n_global_samples)
+    eulers = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.n_global_samples, 3))
+    order = np.argsort(_ce_batch(bpt, mus, eulers, 1.0 / LN2), kind="stable")
+    starts = [
+        tuple(float(v) for v in (*mus[i, :2], *eulers[i]))
+        for i in order[:N_REFINE_CANDIDATES]
+    ]
+    starts.append(_near_projective_start(minimize_projective(s, cfg)))
+
+    def f(x):
+        return _ce_raw(bpt, x[0], x[1], 1.0 - x[0] - x[1], *x[2:], 1.0 / LN2)
+
+    return f, starts
+
+
+class TestStartPruning:
+    def test_bounded_by_unpruned_search(self, bench_states, rng):
+        randoms = [xstate_from_entries(*random_xstate_entries(rng)) for _ in range(3)]
+        for s in [*bench_states.values(), *randoms]:
+            f, starts = povm3_starts(s, QUICK)
+            unpruned = min(
+                _pattern_search(f, x0, POVM3_STEPS, QUICK, weights=True)[1] for x0 in starts
+            )
+            pruned = minimize_povm3(s, QUICK).best_value
+            assert unpruned <= pruned <= unpruned + 1e-9
+
+    def test_trailing_start_stops_after_one_round(self, bench_states):
+        f, starts = povm3_starts(bench_states["rho2"], QUICK)
+        for x0 in starts:
+            full = _pattern_search(f, x0, POVM3_STEPS, QUICK, weights=True)
+            # conditional entropies are >= 0, so -1 trails every value
+            stopped = _pattern_search(f, x0, POVM3_STEPS, QUICK, weights=True, incumbent=-1.0)
+            assert stopped[3] <= 1 + 2 * len(x0) * QUICK.n_refine_iters
+            assert stopped[3] < full[3]
+            assert stopped[1] >= full[1]
+            assert _pattern_search(
+                f, x0, POVM3_STEPS, QUICK, weights=True, incumbent=math.inf
+            ) == full
+            # the search never rises above its projected start's value
+            start_value = f([*_project_weights(*x0[:2]), *x0[2:]])
+            assert _pattern_search(
+                f, x0, POVM3_STEPS, QUICK, weights=True, incumbent=start_value
+            ) == full
+
+
+WITNESS_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+class TestPovm3Properties:
+    @WITNESS_SETTINGS
+    @given(positive_xstates())
+    def test_witness_rebuilds_and_reproduces_value(self, entries):
+        s = xstate_from_entries(*entries)
+        res = minimize_povm3(s, QUICK)
+        p = build_povm3(res.best_weights, res.best_euler)
+        assert abs(conditional_entropy_povm3(s, p, LogBase.BITS) - res.best_value) <= 1e-8
 
 
 class TestGridOracle:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from xdiscord.errors import DegenerateError
+from xdiscord.optimizer import PROJ_HI
 from xdiscord.povm import (
     EulerAngles,
     Povm3,
@@ -19,6 +20,17 @@ from xdiscord.povm import (
 
 TRINE = PovmWeights(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 WITNESS_RHO1 = PovmWeights(0.4209, 0.2938, 0.2853)
+
+_NEEDLE = (3.7214617976282315e-09, 0.49999999677953816)
+# admissible triples at the edge of the weight region, where the law of
+# cosines rounds to the end of arccos's domain: a near-projective
+# triple, the corner of the optimizer's projection box, and a needle
+# triangle returned as an optimum for a state with A = 1
+EDGE_WEIGHTS = [
+    ((1.0 - 1e-7) / 2.0, (1.0 - 1e-7) / 2.0, 1e-7),
+    (PROJ_HI, PROJ_HI, 1.0 - 2.0 * PROJ_HI),
+    (*_NEEDLE, 1.0 - _NEEDLE[0] - _NEEDLE[1]),
+]
 
 
 def closed_form_dirs(t12, t13, psi, theta, phi):
@@ -97,11 +109,13 @@ class TestAnglesFromWeights:
         t = angles_from_weights(WITNESS_RHO1)
         assert_allclose(t.theta12 + t.theta23 + t.theta13, 2.0 * math.pi, atol=1e-10)
 
-    def test_near_edge_weights_degenerate(self):
-        mu3 = 1e-7
-        c = (1.0 - mu3) / 2.0
-        with pytest.raises(DegenerateError):
-            angles_from_weights(PovmWeights(c, c, mu3))
+    @pytest.mark.parametrize("mus", EDGE_WEIGHTS, ids=["mu3_1e-7", "box_corner", "needle"])
+    def test_edge_weights_rebuild(self, mus):
+        w = PovmWeights(*mus)
+        t = angles_from_weights(w)
+        assert abs(t.theta12 + t.theta23 + t.theta13 - 2.0 * math.pi) <= 1e-15
+        # Povm3 checks completeness on construction
+        build_povm3(w, EulerAngles(0.3, 1.2, 2.1))
 
     def test_law_of_cosines_inversion(self, rng):
         for _ in range(1000):
