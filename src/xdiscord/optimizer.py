@@ -8,21 +8,25 @@ also seeds the near-projective start of the 3-element search, which
 takes it as an argument so callers that need both solve it once.
 
 3-element case: Monte-Carlo sampling over the admissible weight region
-and Euler cube, then derivative-free pattern search over the five
+and Euler cube, then a Hooke-Jeeves pattern search over the five
 effective coordinates (mu1, mu2, psi, theta, phi) from the best
-candidates. Steps are reset to their initial size a few times after
-each convergence so the search can escape curved valleys; weight
-iterates leaving the admissible region are projected exactly onto the
-admissible box (the Euclidean projection has a piecewise-linear closed
-form, so no iteration is needed). The starts are refined in turn, and
-a start stops after any reset round that ends above the best value of
-the starts before it: it cannot win, since the incumbent only falls.
-The winning (weights, Euler angles) always rebuilds into a POVM through
-povm.build_povm3, degenerate (near-projective) optima included.
+candidates: coordinate sweeps, each one that moves followed by
+doubling moves along its displacement. Steps are reset to their
+initial size a few times after each convergence so the search can
+escape curved valleys; weight iterates leaving the admissible region
+are projected exactly onto the admissible box (the Euclidean
+projection has a piecewise-linear closed form, so no iteration is
+needed). The starts are refined in turn, and a start stops after any
+reset round that ends above the best value of the starts before it: it
+cannot win, since the incumbent only falls.
 
-3-element global sampling runs through a vectorized batch kernel;
-refinement uses a scalar kernel. Both implement the same closed-form
-objective and agree to rounding error.
+The sampling runs through a vectorized kernel and the refinement
+through a scalar one. Both take the angles between the directions from
+povm.tan2_half_angle, as povm.angles_from_weights does, with cos and
+sin by angle addition, so no inverse trig is called and every value
+the search reports is the value of the POVM that povm.build_povm3
+rebuilds from the winning (weights, Euler angles), to rounding error,
+degenerate (near-projective) optima included.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .discord import conditional_entropy_plane, plane_direction
 from .entropy import LogBase, _plogp
-from .povm import TRIANGLE_MARGIN, EulerAngles, PovmWeights
+from .povm import TRIANGLE_MARGIN, EulerAngles, PovmWeights, tan2_half_angle
 from .qstate import XState, bloch_params
 
 N_REFINE_CANDIDATES = 10
@@ -59,6 +63,11 @@ LN2 = math.log(2.0)
 # moves must improve the objective by more than floating-point noise,
 # otherwise rounding jitter along flat directions stalls step halving
 IMPROVE_EPS = 1e-15
+
+# pattern moves after a sweep stop at 2**PATTERN_MAX times the sweep's
+# displacement, so a sweep costs at most 2 * dim + PATTERN_MAX + 1
+# evaluations; on bench and random X states no chain ran past 15 moves
+PATTERN_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -112,38 +121,42 @@ def _scale(base: LogBase) -> float:
     return 1.0 / LN2 if base is LogBase.BITS else 1.0
 
 
-def _h_nats(e: float) -> float:
-    p = (1.0 + e) / 2.0
-    q = (1.0 - e) / 2.0
-    out = 0.0
-    if p > 0.0:
-        out -= p * math.log(p)
-    if q > 0.0:
-        out -= q * math.log(q)
-    return out
-
-
 def _ce_raw(bpt, m1, m2, m3, psi, theta, phi, scale):
-    """Scalar 3-POVM conditional entropy from the closed-form directions."""
+    """Scalar 3-POVM conditional entropy from the closed-form directions.
+
+    In the triangle's plane the directions sit at angles phi,
+    phi + theta12 and phi - theta13, where theta_ij = pi - alpha and
+    alpha is the interior angle opposite the third weight. Their cos
+    and sin come from tan2_half_angle and angle addition, so no
+    inverse trig function is called.
+    """
     A, B, t1, t2, t3 = bpt
-    c12 = (m3 * m3 - m1 * m1 - m2 * m2) / (2.0 * m1 * m2)
-    c13 = (m2 * m2 - m1 * m1 - m3 * m3) / (2.0 * m1 * m3)
-    t12 = math.acos(min(max(c12, -1.0), 1.0))
-    t13 = math.acos(min(max(c13, -1.0), 1.0))
+    x12 = tan2_half_angle(m1, m2, m3)
+    x13 = tan2_half_angle(m1, m3, m2)
+    c12, s12 = (x12 - 1.0) / (x12 + 1.0), 2.0 * math.sqrt(x12) / (x12 + 1.0)
+    c13, s13 = (x13 - 1.0) / (x13 + 1.0), 2.0 * math.sqrt(x13) / (x13 + 1.0)
+    cph, sph = math.cos(phi), math.sin(phi)
     cps, sps = math.cos(psi), math.sin(psi)
     cth, sth = math.cos(theta), math.sin(theta)
+    u, v = sps * sth, cps * sth
     tot = 0.0
-    for mu, ang in ((m1, 0.0), (m2, t12), (m3, -t13)):
-        beta = ang + phi
-        cb, sb = math.cos(beta), math.sin(beta)
-        mx = cb * cps + sb * sps * sth
-        my = sb * cth
-        mz = sb * cps * sth - cb * sps
+    for mu, cb, sb in (
+        (m1, cph, sph),
+        (m2, c12 * cph - s12 * sph, s12 * cph + c12 * sph),
+        (m3, c13 * cph + s13 * sph, c13 * sph - s13 * cph),
+    ):
+        mz = sb * v - cb * sps
         den = 1.0 + A * mz
         if den <= PROB_FLOOR:
             continue
+        mx = cb * cps + sb * u
+        my = sb * cth
         e = math.sqrt((t1 * mx) ** 2 + (t2 * my) ** 2 + (t3 * mz + B) ** 2) / den
-        tot += mu * den * _h_nats(min(e, 1.0))
+        if e >= 1.0:
+            continue
+        # binary entropy of (1 +- e)/2 in nats; e < 1 keeps both logs finite
+        p, q = (1.0 + e) / 2.0, (1.0 - e) / 2.0
+        tot -= mu * den * (p * math.log(p) + q * math.log(q))
     return tot * scale
 
 
@@ -151,16 +164,19 @@ def _ce_batch(bpt, mus, eulers, scale):
     """Vectorized counterpart of _ce_raw over candidate rows."""
     A, B, t1, t2, t3 = bpt
     m1, m2, m3 = mus[:, 0], mus[:, 1], mus[:, 2]
-    c12 = np.clip((m3 * m3 - m1 * m1 - m2 * m2) / (2.0 * m1 * m2), -1.0, 1.0)
-    c13 = np.clip((m2 * m2 - m1 * m1 - m3 * m3) / (2.0 * m1 * m3), -1.0, 1.0)
-    t12, t13 = np.arccos(c12), np.arccos(c13)
+    x12 = tan2_half_angle(m1, m2, m3)
+    x13 = tan2_half_angle(m1, m3, m2)
+    c12, s12 = (x12 - 1.0) / (x12 + 1.0), 2.0 * np.sqrt(x12) / (x12 + 1.0)
+    c13, s13 = (x13 - 1.0) / (x13 + 1.0), 2.0 * np.sqrt(x13) / (x13 + 1.0)
+    cph, sph = np.cos(eulers[:, 2]), np.sin(eulers[:, 2])
     cps, sps = np.cos(eulers[:, 0]), np.sin(eulers[:, 0])
     cth, sth = np.cos(eulers[:, 1]), np.sin(eulers[:, 1])
-    phs = eulers[:, 2]
     tot = np.zeros(len(mus))
-    for mu, ang in ((m1, 0.0), (m2, t12), (m3, -t13)):
-        beta = ang + phs
-        cb, sb = np.cos(beta), np.sin(beta)
+    for mu, cb, sb in (
+        (m1, cph, sph),
+        (m2, c12 * cph - s12 * sph, s12 * cph + c12 * sph),
+        (m3, c13 * cph + s13 * sph, c13 * sph - s13 * cph),
+    ):
         mx = cb * cps + sb * sps * sth
         my = sb * cth
         mz = sb * cps * sth - cb * sps
@@ -190,9 +206,10 @@ def _project_weights(m1, m2):
     v_i - PROJ_LO, where an entry leaves or reaches a bound, so linear
     interpolation between the two breakpoints that bracket 1 is exact.
     """
-    v = (m1, m2, 1.0 - m1 - m2)
-    if all(PROJ_LO <= x <= PROJ_HI for x in v):
+    m3 = 1.0 - m1 - m2
+    if PROJ_LO <= m1 <= PROJ_HI and PROJ_LO <= m2 <= PROJ_HI and PROJ_LO <= m3 <= PROJ_HI:
         return m1, m2
+    v = (m1, m2, m3)
 
     def clipped_sum(lam):
         return sum(min(max(x - lam, PROJ_LO), PROJ_HI) for x in v)
@@ -212,18 +229,29 @@ def _project_weights(m1, m2):
     return w1, w2
 
 
-def _pattern_search(f, x0, steps0, cfg, weights=False, incumbent=math.inf):
-    """Greedy coordinate pattern search with step-reset rounds.
+def _improvement_bar(fx):
+    """Value a trial must fall below to improve on fx (see IMPROVE_EPS)."""
+    return fx - IMPROVE_EPS * max(1.0, abs(fx))
 
-    Accepts any strict improvement along a coordinate step; halves all
-    steps when a full sweep yields none. After converging, steps reset
-    to their initial size and the search repeats, which lets the
-    iterate continue along valleys not aligned with the axes.
+
+def _pattern_search(f, x0, steps0, cfg, weights=False, incumbent=math.inf):
+    """Hooke-Jeeves pattern search with step-reset rounds.
+
+    Each sweep tries a step either way along every coordinate and
+    keeps any strict improvement. A sweep that moved is followed by
+    pattern moves along its net displacement d (Hooke & Jeeves,
+    J. ACM 8, 212 (1961)): x + d, then from there x + 2d, 4d, ... up
+    to 2^PATTERN_MAX d, for as long as each one improves; along a
+    curved valley the sweeps alone crawl. A sweep that did not move
+    halves all steps. After converging, steps reset to their initial
+    size and the search repeats, which lets the iterate continue along
+    valleys not aligned with the axes.
 
     With weights true, x[0] and x[1] are the weights mu1, mu2: the
-    start is projected onto the admissible box once, and only trials
-    that move one of them are projected again, since trials along the
-    other coordinates leave the weights unchanged and in the box.
+    start is projected onto the admissible box once, and every trial
+    that can move them (a coordinate step along mu1 or mu2, or a
+    pattern move) is projected again; steps along the other
+    coordinates leave the weights unchanged and in the box.
 
     incumbent is the best value of the starts already refined. The
     search returns after any reset round that ends above it: the start
@@ -236,13 +264,14 @@ def _pattern_search(f, x0, steps0, cfg, weights=False, incumbent=math.inf):
     if weights:
         x[0], x[1] = _project_weights(x[0], x[1])
     fx = f(x)
+    bar = _improvement_bar(fx)
     n_evals = 1
     converged = False
     for _ in range(RESET_ROUNDS):
         steps = list(steps0)
         sweeps = 0
         while max(steps) > cfg.refine_tol and sweeps < cfg.n_refine_iters:
-            moved = False
+            x_start = x
             for i in range(len(x)):
                 for sgn in (1.0, -1.0):
                     trial = x.copy()
@@ -251,11 +280,22 @@ def _pattern_search(f, x0, steps0, cfg, weights=False, incumbent=math.inf):
                         trial[0], trial[1] = _project_weights(trial[0], trial[1])
                     ft = f(trial)
                     n_evals += 1
-                    if ft < fx - IMPROVE_EPS * max(1.0, abs(fx)):
-                        x, fx = trial, ft
-                        moved = True
-            if not moved:
+                    if ft < bar:
+                        x, fx, bar = trial, ft, _improvement_bar(ft)
+            if x is x_start:  # no step improved
                 steps = [s / 2.0 for s in steps]
+            else:
+                d = [a - b for a, b in zip(x, x_start)]
+                for _ in range(PATTERN_MAX + 1):
+                    trial = [a + b for a, b in zip(x, d)]
+                    if weights:
+                        trial[0], trial[1] = _project_weights(trial[0], trial[1])
+                    ft = f(trial)
+                    n_evals += 1
+                    if not ft < bar:
+                        break
+                    x, fx, bar = trial, ft, _improvement_bar(ft)
+                    d = [2.0 * b for b in d]
             sweeps += 1
         converged = max(steps) <= cfg.refine_tol
         if fx > incumbent:

@@ -132,18 +132,23 @@ class Povm3:
         return out
 
 
-def _interior_angle(a: float, b: float, c: float) -> float:
-    """Angle opposite side c in the triangle with sides a, b, c.
+def tan2_half_angle(mu_a, mu_b, mu_c):
+    """tan^2(alpha/2) for the interior angle alpha opposite side mu_c in
+    the triangle with sides mu_a, mu_b, mu_c summing to 1.
 
-    Kahan's formula for needle-like triangles ("Miscalculating Area and
-    Angles of a Needle-like Triangle"): accurate to a few ulps however
-    thin the triangle, where the law-of-cosines arccos loses half its
-    digits and rounds to the edge of its domain.
+    This is the quantity of Kahan's needle-triangle formula
+    ("Miscalculating Area and Angles of a Needle-like Triangle"),
+    (s - a)(s - b) / (s (s - c)) with semi-perimeter s. A weight triple
+    has s = 1/2, so each factor 2 (s - mu) = 1 - 2 mu is exact for
+    mu >= 1/4 (Sterbenz) and within half an ulp below: the result is
+    accurate to a few ulps however thin the triangle (for the
+    perimeter-1 triangle within an ulp of the given sides), without
+    Kahan's sorting and branches, so it works unchanged on arrays. The
+    law-of-cosines arccos loses half its digits there and rounds to the
+    edge of its domain. With x the result, cos(alpha) = (1 - x) / (1 + x)
+    and sin(alpha) = 2 sqrt(x) / (1 + x).
     """
-    if a < b:
-        a, b = b, a
-    mu = c - (a - b) if b >= c else b - (a - c)
-    return 2.0 * math.atan(math.sqrt(((a - b) + c) * mu / ((a + (b + c)) * ((a - c) + b))))
+    return (1.0 - 2.0 * mu_a) * (1.0 - 2.0 * mu_b) / (1.0 - 2.0 * mu_c)
 
 
 def angles_from_weights(w: PovmWeights) -> TriangleAngles:
@@ -151,16 +156,16 @@ def angles_from_weights(w: PovmWeights) -> TriangleAngles:
 
     Completeness makes the weighted directions mu_k m_k close a
     triangle with sides mu1, mu2, mu3, so theta_ij is pi less the
-    interior angle opposite mu_k, taken by Kahan's needle-triangle
-    formula; it stays exact up to the edge of the weight region, where
-    the law of cosines does not.
+    interior angle opposite mu_k, taken from tan2_half_angle; it stays
+    exact up to the edge of the weight region, where the law of cosines
+    does not.
     """
     m1, m2, m3 = w.mu1, w.mu2, w.mu3
-    return TriangleAngles(
-        math.pi - _interior_angle(m1, m2, m3),
-        math.pi - _interior_angle(m2, m3, m1),
-        math.pi - _interior_angle(m1, m3, m2),
-    )
+
+    def theta(a, b, c):
+        return math.pi - 2.0 * math.atan(math.sqrt(tan2_half_angle(a, b, c)))
+
+    return TriangleAngles(theta(m1, m2, m3), theta(m2, m3, m1), theta(m1, m3, m2))
 
 
 def planar_directions(t: TriangleAngles) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xdiscord.optimizer import PROJ_HI
 from xdiscord.qstate import xstate_from_entries
 
 # pass/fail lines appended by the acceptance tests, echoed after the run
@@ -21,6 +22,17 @@ BENCH_ENTRIES = {
 
 MIXED_ENTRIES = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
 BELL_ENTRIES = (0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
+
+_NEEDLE = (3.7214617976282315e-09, 0.49999999677953816)
+# admissible triples at the edge of the weight region, where the law of
+# cosines rounds to the end of arccos's domain: a near-projective
+# triple, the corner of the optimizer's projection box, and a needle
+# triangle returned as an optimum for a state with A = 1
+EDGE_WEIGHTS = {
+    "mu3_1e-7": ((1.0 - 1e-7) / 2.0, (1.0 - 1e-7) / 2.0, 1e-7),
+    "box_corner": (PROJ_HI, PROJ_HI, 1.0 - 2.0 * PROJ_HI),
+    "needle": (*_NEEDLE, 1.0 - _NEEDLE[0] - _NEEDLE[1]),
+}
 
 
 @pytest.fixture(scope="session")

@@ -116,6 +116,18 @@ class TestRunReport:
         assert abs(nats.delta2_min - bits.delta2_min * math.log(2.0)) <= 1e-4
 
 
+    def test_zero_probability_states_keep_delta3_nonnegative(self):
+        # A = 1, A = -1 and a product state: an outcome of probability 0
+        # and a degenerate (projective) optimum, whose triangle angles
+        # the search must take as exactly as the rebuilt witness does
+        states = [
+            ("a_plus1", xstate_from_entries(0.5, 0.0, 0.5, 0.0, 0.0, 0.0)),
+            ("a_minus1", xstate_from_entries(0.0, 0.5, 0.0, 0.5, 0.0, 0.0)),
+            ("product", xstate_from_entries(0.28, 0.42, 0.12, 0.18, 0.0, 0.0)),
+        ]
+        for r in run_report(states, SearchConfig(), LogBase.BITS).results:
+            assert r.delta3_min >= -1e-12, r.name
+
     def test_yaxis_pair_has_zero_axis_discord(self):
         # t1 = 0, t2 = -0.8 and its eps-flipped partner t1 = 0.8, t2 = 0:
         # the best axis is y, then x, and both states are classical on it

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import EDGE_WEIGHTS
 from oracles import random_unit_vector, random_xstate_entries
 from xdiscord.discord import (
     ali_candidate,
@@ -18,10 +19,13 @@ from xdiscord.discord import (
 )
 from xdiscord.entropy import LogBase
 from xdiscord.optimizer import (
+    IMPROVE_EPS,
     N_REFINE_CANDIDATES,
+    PATTERN_MAX,
     POVM3_STEPS,
     PROJ_HI,
     PROJ_LO,
+    RESET_ROUNDS,
     SearchConfig,
     _ce_batch,
     _ce_raw,
@@ -58,6 +62,24 @@ class TestSearchConfig:
 
 
 class TestKernels:
+    @pytest.mark.parametrize("triple", EDGE_WEIGHTS.values(), ids=EDGE_WEIGHTS.keys())
+    def test_kernels_match_public_path_at_edge_weights(self, bench_states, rng, triple):
+        # every order: the kernels measure the angles from direction 1
+        a_plus1 = xstate_from_entries(0.5, 0.0, 0.5, 0.0, 0.0, 0.0)
+        eulers = rng.uniform(0.0, 2.0 * math.pi, size=(20, 3))
+        for mus in set(itertools.permutations(triple)):
+            w = PovmWeights(*mus)
+            for s in [*bench_states.values(), a_plus1]:
+                bpt = _bloch_tuple(s)
+                batch = _ce_batch(bpt, np.tile(mus, (len(eulers), 1)), eulers, 1.0 / LN2)
+                for e, b in zip(eulers, batch):
+                    public = conditional_entropy_povm3(
+                        s, build_povm3(w, EulerAngles(*e)), LogBase.BITS
+                    )
+                    raw = _ce_raw(bpt, *mus, *e, 1.0 / LN2)
+                    assert_allclose(raw, public, rtol=0.0, atol=1e-14)
+                    assert_allclose(b, public, rtol=0.0, atol=1e-14)
+
     def test_scalar_matches_public_path(self, bench_states, rng):
         for s in bench_states.values():
             bpt = _bloch_tuple(s)
@@ -369,6 +391,94 @@ class TestStartPruning:
             assert _pattern_search(
                 f, x0, POVM3_STEPS, QUICK, weights=True, incumbent=start_value
             ) == full
+
+
+def compass_search(f, x0, steps0, cfg, incumbent=math.inf):
+    """_pattern_search(..., weights=True) without pattern moves: the
+    coordinate search they replaced, kept as the reference."""
+    x = list(x0)
+    x[0], x[1] = _project_weights(x[0], x[1])
+    fx = f(x)
+    n_evals = 1
+    converged = False
+    for _ in range(RESET_ROUNDS):
+        steps = list(steps0)
+        sweeps = 0
+        while max(steps) > cfg.refine_tol and sweeps < cfg.n_refine_iters:
+            moved = False
+            for i in range(len(x)):
+                for sgn in (1.0, -1.0):
+                    trial = x.copy()
+                    trial[i] += sgn * steps[i]
+                    if i < 2:
+                        trial[0], trial[1] = _project_weights(trial[0], trial[1])
+                    ft = f(trial)
+                    n_evals += 1
+                    if ft < fx - IMPROVE_EPS * max(1.0, abs(fx)):
+                        x, fx = trial, ft
+                        moved = True
+            if not moved:
+                steps = [s / 2.0 for s in steps]
+            sweeps += 1
+        converged = max(steps) <= cfg.refine_tol
+        if fx > incumbent:
+            break
+    return x, fx, converged, n_evals
+
+
+def compass_povm3(s, cfg):
+    """best_value and n_evals of minimize_povm3(s, cfg) refined by
+    compass_search."""
+    f, starts = povm3_starts(s, cfg)
+    best, n_evals = math.inf, cfg.n_global_samples
+    for x0 in starts:
+        _, fx, _, n = compass_search(f, x0, POVM3_STEPS, cfg, incumbent=best)
+        n_evals += n
+        best = min(best, fx)
+    return best, n_evals
+
+
+class TestPatternMoves:
+    @pytest.fixture(scope="class")
+    def runs(self, bench_states):
+        rng = np.random.default_rng(61)
+        randoms = [xstate_from_entries(*random_xstate_entries(rng)) for _ in range(5)]
+        return [
+            (compass_povm3(s, QUICK), minimize_povm3(s, QUICK))
+            for s in [*bench_states.values(), *randoms]
+        ]
+
+    def test_never_above_compass_search(self, runs):
+        for (ref_value, _), res in runs:
+            assert res.best_value <= ref_value + 1e-12
+
+    def test_fewer_evaluations_than_compass_search(self, runs):
+        # summed: on a single state the searches can part ways, and a
+        # different incumbent can prune a later start less
+        assert sum(res.n_evals for _, res in runs) < sum(ref[1] for ref, _ in runs)
+
+    def test_repeat_is_bit_identical(self, bench_states):
+        rng = np.random.default_rng(61)
+        randoms = [xstate_from_entries(*random_xstate_entries(rng)) for _ in range(5)]
+        for s in [*bench_states.values(), *randoms]:
+            assert minimize_povm3(s, QUICK) == minimize_povm3(s, QUICK)
+
+    def test_sweep_cost_bound_is_reached_on_a_ramp(self):
+        # every pattern move improves an unbounded linear objective, so
+        # the one sweep of each round runs the whole chain: a step h,
+        # then moves h, 2h, ..., 2**PATTERN_MAX h
+        dim, h = 5, 0.125
+        cfg = SearchConfig(n_refine_iters=1)
+        x, _, _, n = _pattern_search(lambda x: -x[0], [0.0] * dim, [h] * dim, cfg)
+        assert n == 1 + RESET_ROUNDS * (2 * dim + PATTERN_MAX + 1)
+        assert x == [RESET_ROUNDS * h * 2.0 ** (PATTERN_MAX + 1), *[0.0] * (dim - 1)]
+
+    def test_sweep_cost_bounded_on_the_objective(self, bench_states):
+        cfg = SearchConfig(n_refine_iters=1)
+        f, starts = povm3_starts(bench_states["rho1"], QUICK)
+        for x0 in starts:
+            n = _pattern_search(f, x0, POVM3_STEPS, cfg, weights=True)[3]
+            assert n <= 1 + RESET_ROUNDS * (2 * len(x0) + PATTERN_MAX + 1)
 
 
 WITNESS_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
