@@ -32,11 +32,9 @@ from .errors import (
 )
 from .optimizer import (
     OptResult,
-    PhiAuditReport,
     SearchConfig,
     minimize_povm3,
     minimize_projective,
-    phi_invariance_audit,
 )
 from .povm import (
     EulerAngles,
@@ -69,7 +67,6 @@ __all__ = [
     "MeasurementOutcome",
     "OptResult",
     "ParseError",
-    "PhiAuditReport",
     "Povm3",
     "PovmWeights",
     "PositivityError",
@@ -93,7 +90,6 @@ __all__ = [
     "minimize_povm3",
     "minimize_projective",
     "mutual_information",
-    "phi_invariance_audit",
     "planar_directions",
     "povm_outcomes",
     "rotation_matrix",

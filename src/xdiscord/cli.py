@@ -4,7 +4,6 @@ Subcommands:
 
   run        compute delta3_min, delta2_min, delta2 and differences per state
   validate   parse and validate a state file
-  audit-phi  check phi-independence of the refined minimum per state
 
 State files are JSON arrays of records with decimal-string fields:
 
@@ -25,18 +24,13 @@ from importlib import resources
 from .discord import ali_candidate, discord_given_conditional_entropy
 from .entropy import LogBase
 from .errors import ParseError
-from .optimizer import (
-    SearchConfig,
-    minimize_povm3,
-    minimize_projective,
-    phi_invariance_audit,
-)
+from .optimizer import SearchConfig, minimize_povm3, minimize_projective
 from .qstate import XState, xstate_from_entries
 
 RECORD_FIELDS = ("a", "b", "c", "d", "eps", "delta")
 CSV_COLUMNS = (
     "name", "delta3_min", "delta2_min", "delta2", "diff3", "diff2",
-    "mu1", "mu2", "mu3", "psi", "theta", "phi", "base", "seed",
+    "mu1", "mu2", "mu3", "psi", "theta", "phi", "base",
 )
 
 
@@ -62,7 +56,6 @@ class StateResult:
 class DiscordReport:
     results: tuple[StateResult, ...]
     base: LogBase
-    seed: int
     n_global_samples: int
 
 
@@ -135,14 +128,13 @@ def run_report(states, cfg: SearchConfig, base: LogBase) -> DiscordReport:
     return DiscordReport(
         results=tuple(_compute_state(name, s, cfg, base) for name, s in states),
         base=base,
-        seed=cfg.seed,
         n_global_samples=cfg.n_global_samples,
     )
 
 
 def render_table(report: DiscordReport) -> str:
     lines = [
-        f"# base={report.base.value} seed={report.seed} samples={report.n_global_samples}",
+        f"# base={report.base.value} samples={report.n_global_samples}",
         f"{'name':<12}{'delta3_min':>12}{'delta2_min':>12}{'delta2':>12}"
         f"{'diff3':>14}{'diff2':>14}",
     ]
@@ -157,7 +149,6 @@ def render_table(report: DiscordReport) -> str:
 def render_json(report: DiscordReport) -> str:
     payload = {
         "base": report.base.value,
-        "seed": report.seed,
         "n_global_samples": report.n_global_samples,
         "results": [
             {
@@ -183,7 +174,6 @@ def parse_report_json(text: str) -> DiscordReport:
     return DiscordReport(
         results=results,
         base=LogBase(payload["base"]),
-        seed=payload["seed"],
         n_global_samples=payload["n_global_samples"],
     )
 
@@ -200,7 +190,7 @@ def render_csv(report: DiscordReport) -> str:
                 repr(r.diff3), repr(r.diff2),
                 repr(r.mu1), repr(r.mu2), repr(r.mu3),
                 repr(r.psi), repr(r.theta), repr(r.phi),
-                report.base.value, report.seed,
+                report.base.value,
             ]
         )
     return buf.getvalue()
@@ -208,23 +198,12 @@ def render_csv(report: DiscordReport) -> str:
 
 def _gather_states(args) -> list[tuple[str, XState]]:
     states: list[tuple[str, XState]] = []
-    if getattr(args, "benchmarks", False):
+    if args.benchmarks:
         states.extend(load_benchmarks())
     if args.states is not None:
         with open(args.states, encoding="utf-8") as fh:
             states.extend(parse_state_file(fh.read()))
     return states
-
-
-def _add_common(sub, with_benchmarks):
-    sub.add_argument("--states", help="path to a JSON state file")
-    if with_benchmarks:
-        sub.add_argument(
-            "--benchmarks", action="store_true", help="include the bundled benchmark states"
-        )
-    sub.add_argument("--base", choices=["bits", "nats"], default="bits")
-    sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--samples", type=int, default=20000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,14 +213,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run = subs.add_parser("run", help="compute discord for each state")
-    _add_common(run, with_benchmarks=True)
+    run.add_argument("--states", help="path to a JSON state file")
+    run.add_argument(
+        "--benchmarks", action="store_true", help="include the bundled benchmark states"
+    )
+    run.add_argument("--base", choices=["bits", "nats"], default="bits")
+    samples = SearchConfig().n_global_samples
+    run.add_argument(
+        "--samples", type=int, default=samples,
+        help=f"scan points of each 1-D solve (default {samples})",
+    )
     run.add_argument("--format", choices=["table", "json", "csv"], default="table")
 
     val = subs.add_parser("validate", help="validate a state file")
     val.add_argument("--states", required=True, help="path to a JSON state file")
-
-    aud = subs.add_parser("audit-phi", help="check phi-independence per state")
-    _add_common(aud, with_benchmarks=True)
     return parser
 
 
@@ -253,7 +238,7 @@ def main(argv=None) -> int:
             states = _gather_states(args)
             if not states and not (args.benchmarks or args.states):
                 parser.error("run requires --states and/or --benchmarks")
-            cfg = SearchConfig(seed=args.seed, n_global_samples=args.samples)
+            cfg = SearchConfig(n_global_samples=args.samples)
             report = run_report(states, cfg, LogBase(args.base))
             renderer = {"table": render_table, "json": render_json, "csv": render_csv}
             print(renderer[args.format](report), end="" if args.format == "csv" else "\n")
@@ -263,14 +248,6 @@ def main(argv=None) -> int:
             for name, _ in states:
                 print(f"{name}: ok")
             print(f"{len(states)} state(s) valid")
-        elif args.command == "audit-phi":
-            states = _gather_states(args)
-            if not states and not (args.benchmarks or args.states):
-                parser.error("audit-phi requires --states and/or --benchmarks")
-            cfg = SearchConfig(seed=args.seed, n_global_samples=args.samples)
-            for name, s in states:
-                rep = phi_invariance_audit(s, cfg, LogBase(args.base))
-                print(f"{name}: spread={rep.spread:.3e}")
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -10,7 +10,9 @@ Discord follows as S(rho_B) - S(rho_AB) + min conditional entropy.
 
 Projective measurements reduce to one variable (conditional_entropy_plane),
 whose endpoints give delta2: the better of the z axis and the larger
-transverse axis, as in Ali-Rau-Alber (ali_candidate).
+transverse axis, as in Ali-Rau-Alber (ali_candidate). The 3-element
+search runs over one variable too, the mirror-symmetric triangle of
+conditional_entropy_mirror; both are sums of the same per-outcome term.
 """
 
 from __future__ import annotations
@@ -139,6 +141,18 @@ def plane_direction(s: XState, nz: float) -> tuple[float, float, float]:
     return (st, 0.0, nz) if abs(bp.t1) >= abs(bp.t2) else (0.0, st, nz)
 
 
+def _plane_term(bp, mz, base: LogBase):
+    """Per-outcome term (1 + A mz) h(E) of a unit direction with
+    z-component mz in the plane of plane_direction, vectorized over mz;
+    0 for an outcome that never occurs."""
+    den = 1.0 + bp.A * mz
+    live = den > PROB_FLOOR
+    tt = max(bp.t1 * bp.t1, bp.t2 * bp.t2) * (1.0 - mz * mz)
+    e = np.sqrt(tt + (bp.t3 * mz + bp.B) ** 2) / np.where(live, den, 1.0)
+    h = binary_entropy(np.clip(e, 0.0, 1.0), base)
+    return np.where(live, den * h, 0.0)
+
+
 def conditional_entropy_plane(s: XState, nz, base: LogBase = LogBase.BITS):
     """Projective conditional entropy at plane_direction(s, nz), vectorized over nz.
 
@@ -149,15 +163,30 @@ def conditional_entropy_plane(s: XState, nz, base: LogBase = LogBase.BITS):
     """
     bp = bloch_params(s)
     nz = np.asarray(nz, dtype=float)
-    tt = max(bp.t1 * bp.t1, bp.t2 * bp.t2) * (1.0 - nz * nz)
-    total = np.zeros_like(nz)
-    for sgn in (1.0, -1.0):
-        den = 1.0 + bp.A * sgn * nz
-        live = den > PROB_FLOOR
-        e = np.sqrt(tt + (bp.t3 * sgn * nz + bp.B) ** 2) / np.where(live, den, 1.0)
-        h = binary_entropy(np.clip(e, 0.0, 1.0), base)
-        total += np.where(live, 0.5 * den * h, 0.0)
-    return total
+    return 0.5 * _plane_term(bp, nz, base) + 0.5 * _plane_term(bp, -nz, base)
+
+
+def mirror_weights(t):
+    """Weights (mu1, mu2) of the pole and of each mirror direction of
+    the triangle of conditional_entropy_mirror at t."""
+    mu2 = 0.5 / (1.0 + abs(t))
+    return 1.0 - 2.0 * mu2, mu2
+
+
+def conditional_entropy_mirror(s: XState, t, base: LogBase = LogBase.BITS):
+    """3-element conditional entropy of the mirror-symmetric triangle at
+    t in [-1, 1], vectorized over t.
+
+    The pole (0, 0, sign t) has weight mu1 and each of the mirror pair
+    (+-sqrt(1 - t^2), 0, -t), in the plane of plane_direction, weight
+    mu2 = 1 / (2 (1 + |t|)), which completeness fixes. The two halves
+    meet at t = 0, the transverse-axis measurement, and each ends at
+    the z-axis measurement.
+    """
+    bp = bloch_params(s)
+    t = np.asarray(t, dtype=float)
+    mu1, mu2 = mirror_weights(t)
+    return mu1 * _plane_term(bp, np.sign(t), base) + 2.0 * mu2 * _plane_term(bp, -t, base)
 
 
 def ali_candidate(s: XState, base: LogBase = LogBase.BITS) -> DiscordValue:

@@ -20,13 +20,20 @@ BENCH_ENTRIES = {
     "rho3": (0.0783, 0.1250, 0.1250, 0.6717, 0.0, 0.1000),
 }
 
+# the largest delta2 - delta3_min found by a search over general X
+# states, above the paper's 0.004565 bits; its raw diagonal
+# (0.072007, 0, 0.080864, 0.847130) sums to 1.000001, so it is
+# renormalised to unit trace
+_WORST_DIAG = (0.072007, 0.0, 0.080864, 0.847130)
+WORST_ENTRIES = (*(x / sum(_WORST_DIAG) for x in _WORST_DIAG), 0.212863, 0.0)
+
 MIXED_ENTRIES = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
 BELL_ENTRIES = (0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 
 _NEEDLE = (3.7214617976282315e-09, 0.49999999677953816)
 # admissible triples at the edge of the weight region, where the law of
 # cosines rounds to the end of arccos's domain: a near-projective
-# triple, the corner of the optimizer's projection box, and a needle
+# triple, the corner triple of a projective 3-element witness, and a needle
 # triangle returned as an optimum for a state with A = 1
 EDGE_WEIGHTS = {
     "mu3_1e-7": ((1.0 - 1e-7) / 2.0, (1.0 - 1e-7) / 2.0, 1e-7),

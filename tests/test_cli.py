@@ -25,7 +25,7 @@ from xdiscord.errors import ParseError
 from xdiscord.optimizer import SearchConfig
 from xdiscord.qstate import xstate_from_entries
 
-QUICK = SearchConfig(seed=3, n_global_samples=2000)
+QUICK = SearchConfig(n_global_samples=501)
 
 GOOD_RECORD = (
     '[{"name":"rho1","a":"0.027180","b":"0.000224","c":"0.027327",'
@@ -154,16 +154,16 @@ class TestRunReport:
         monkeypatch.setattr(cli, "minimize_projective", counted)
         monkeypatch.setattr(optimizer, "minimize_projective", counted)
         states = [(name, xstate_from_entries(*e)) for name, e in BENCH_ENTRIES.items()]
-        run_report(states, SearchConfig(seed=3, n_global_samples=500), LogBase.BITS)
+        run_report(states, QUICK, LogBase.BITS)
         assert sorted(map(id, calls)) == sorted(id(s) for _, s in states)
 
 
 class TestRenderers:
-    def test_table_includes_seed_and_budget(self):
+    def test_table_includes_base_and_budget(self):
         rep = mixed_report()
         text = render_table(rep)
-        assert "seed=3" in text
-        assert "samples=2000" in text
+        assert "base=bits" in text
+        assert "samples=501" in text
         assert "mixed" in text
 
     def test_csv_columns_exact(self):
@@ -174,7 +174,6 @@ class TestRenderers:
         record = dict(zip(rows[0], rows[1]))
         assert record["name"] == "mixed"
         assert record["base"] == "bits"
-        assert record["seed"] == "3"
         assert float(record["mu1"]) > 0.0
 
     def test_json_round_trip_exact(self):
@@ -214,8 +213,7 @@ class TestMain:
         f.write_text('[{"name":"mix","a":"0.25","b":"0.25","c":"0.25","d":"0.25",'
                      '"eps":"0","delta":"0"}]')
         code = main(
-            ["run", "--states", str(f), "--seed", "3", "--samples", "2000",
-             "--format", "csv"]
+            ["run", "--states", str(f), "--samples", "2000", "--format", "csv"]
         )
         assert code == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
@@ -242,7 +240,8 @@ class TestMain:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["name"] == "mix"
-        assert payload["seed"] == 7
+        assert payload["n_global_samples"] == 2000
+        assert "seed" not in payload
 
 
 def test_report_equality_and_types():

@@ -7,42 +7,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import EDGE_WEIGHTS
-from oracles import random_unit_vector, random_xstate_entries
-from xdiscord.discord import (
-    ali_candidate,
-    conditional_entropy_plane,
-    conditional_entropy_povm3,
-    conditional_entropy_projective,
-    discord_given_conditional_entropy,
-    plane_direction,
-)
-from xdiscord.entropy import LogBase
-from xdiscord.optimizer import (
+from conftest import EDGE_WEIGHTS, WORST_ENTRIES
+from oracles import ce_povm_oracle, dense_xmatrix, random_unit_vector, random_xstate_entries
+from povm_search import (
     IMPROVE_EPS,
     N_REFINE_CANDIDATES,
     PATTERN_MAX,
     POVM3_STEPS,
-    PROJ_HI,
-    PROJ_LO,
     RESET_ROUNDS,
-    SearchConfig,
+    _bloch_tuple,
     _ce_batch,
     _ce_raw,
-    _bloch_tuple,
     _near_projective_start,
     _pattern_search,
     _project_weights,
     _sample_weights_batch,
+    phi_invariance_audit,
+    search_povm3,
+)
+from xdiscord.discord import (
+    ali_candidate,
+    conditional_entropy_mirror,
+    conditional_entropy_plane,
+    conditional_entropy_povm3,
+    conditional_entropy_projective,
+    discord_given_conditional_entropy,
+    mirror_weights,
+    plane_direction,
+)
+from xdiscord.entropy import LogBase
+from xdiscord.optimizer import (
+    MIRROR_T_HI,
+    MIRROR_T_LO,
+    PROJ_HI,
+    PROJ_LO,
+    SearchConfig,
+    _mirror_euler,
     minimize_povm3,
     minimize_projective,
-    phi_invariance_audit,
 )
 from xdiscord.povm import EulerAngles, PovmWeights, build_povm3, sample_weights
 from xdiscord.qstate import xstate_from_entries
 
 LN2 = math.log(2.0)
-QUICK = SearchConfig(seed=3, n_global_samples=2000)
+CFG = SearchConfig()
+# a quick budget for the reference search of povm_search
+QUICK_SEED, QUICK_SAMPLES = 3, 2000
+
+
+def quick_search(s):
+    return search_povm3(s, QUICK_SEED, QUICK_SAMPLES, CFG)
 
 
 def discord_of(s, ce, base=LogBase.BITS):
@@ -52,11 +66,14 @@ def discord_of(s, ce, base=LogBase.BITS):
 class TestSearchConfig:
     def test_defaults_valid(self):
         cfg = SearchConfig()
-        assert cfg.n_global_samples == 20000
+        assert cfg.n_global_samples == 2001
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             SearchConfig(n_global_samples=0)
+        with pytest.raises(ValueError):
+            # a scan must hold both ends of its interval
+            SearchConfig(n_global_samples=1)
         with pytest.raises(ValueError):
             SearchConfig(refine_tol=0.0)
 
@@ -115,6 +132,35 @@ class TestKernels:
                 assert n[1 - axis] == 0.0 and n[axis] >= 0.0
                 public = conditional_entropy_projective(s, n, LogBase.BITS)
                 assert_allclose(k, public, atol=1e-12)
+
+    def test_mirror_kernel_matches_public_path(self, bench_states, rng):
+        # the eps-flipped partner puts the mirror pair on y; t runs over
+        # both halves and the ends of the interval minimize_povm3 solves
+        ts = np.concatenate([
+            [MIRROR_T_LO, MIRROR_T_HI, -MIRROR_T_LO, -MIRROR_T_HI],
+            rng.uniform(-1.0, 1.0, size=50),
+        ])
+        a, b, c, d, eps, delta = 0.3, 0.2, 0.1, 0.4, 0.25, 0.1
+        a_plus1 = xstate_from_entries(0.5, 0.0, 0.5, 0.0, 0.0, 0.0)
+        for s in [
+            *bench_states.values(), a_plus1,
+            xstate_from_entries(a, b, c, d, eps, delta),
+            xstate_from_entries(a, b, c, d, -eps, delta),
+        ]:
+            kernel = conditional_entropy_mirror(s, ts, LogBase.BITS)
+            for t, k in zip(ts, kernel):
+                mu1, mu2 = mirror_weights(t)
+                pole = math.copysign(1.0, t)
+                p = build_povm3(PovmWeights(mu1, mu2, mu2), _mirror_euler(s, pole))
+                assert_allclose(p.dirs[0], (0.0, 0.0, pole), atol=1e-15)
+                public = conditional_entropy_povm3(s, p, LogBase.BITS)
+                assert_allclose(k, public, rtol=0.0, atol=1e-14)
+
+    def test_mirror_ends_are_the_axis_measurements(self, bench_states):
+        for s in bench_states.values():
+            mirror = conditional_entropy_mirror(s, (0.0, 1.0, -1.0), LogBase.BITS)
+            plane = conditional_entropy_plane(s, (0.0, 1.0, 1.0), LogBase.BITS)
+            assert_allclose(mirror, plane, rtol=0.0, atol=1e-15)
 
 
 class TestSampleWeightsBatch:
@@ -193,7 +239,7 @@ class TestProjectWeights:
 
 class TestMinimizeProjective:
     def test_maximally_mixed_constant(self, mixed_state):
-        res = minimize_projective(mixed_state, QUICK)
+        res = minimize_projective(mixed_state, CFG)
         assert_allclose(res.best_value, 1.0, atol=1e-12)
         assert res.converged
         assert res.best_direction is not None
@@ -214,13 +260,13 @@ class TestMinimizeProjective:
         assert r1.n_evals == r2.n_evals
 
     def test_direction_is_unit(self, bench_states):
-        res = minimize_projective(bench_states["rho3"], QUICK)
+        res = minimize_projective(bench_states["rho3"], CFG)
         assert_allclose(np.linalg.norm(res.best_direction), 1.0, atol=1e-12)
 
     def test_never_above_axis_candidates(self, rng):
         for _ in range(10):
             s = xstate_from_entries(*random_xstate_entries(rng))
-            res = minimize_projective(s, QUICK)
+            res = minimize_projective(s, CFG)
             for n in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
                 assert res.best_value <= conditional_entropy_projective(s, n) + 1e-12
 
@@ -246,8 +292,8 @@ class TestProjectiveProperties:
         s = xstate_from_entries(*entries)
         flipped = xstate_from_entries(a, b, c, d, -eps, delta)
         assert_allclose(
-            minimize_projective(flipped, QUICK).best_value,
-            minimize_projective(s, QUICK).best_value,
+            minimize_projective(flipped, CFG).best_value,
+            minimize_projective(s, CFG).best_value,
             rtol=0.0, atol=1e-12,
         )
         assert_allclose(
@@ -260,7 +306,7 @@ class TestProjectiveProperties:
     @given(positive_xstates())
     def test_never_above_ali_candidate(self, entries):
         s = xstate_from_entries(*entries)
-        assert minimize_projective(s, QUICK).best_value <= ali_candidate(s).conditional_entropy
+        assert minimize_projective(s, CFG).best_value <= ali_candidate(s).conditional_entropy
 
     @PROPERTY_SETTINGS
     @given(positive_xstates(), st.integers(0, 2**32 - 1))
@@ -270,7 +316,7 @@ class TestProjectiveProperties:
         sampled = min(
             conditional_entropy_projective(s, random_unit_vector(rng)) for _ in range(300)
         )
-        assert minimize_projective(s, QUICK).best_value <= sampled + 1e-12
+        assert minimize_projective(s, CFG).best_value <= sampled + 1e-12
 
 
 class TestMinimizePovm3:
@@ -284,8 +330,8 @@ class TestMinimizePovm3:
 
     def test_deterministic(self, bench_states):
         s = bench_states["rho2"]
-        r1 = minimize_povm3(s, QUICK)
-        r2 = minimize_povm3(s, QUICK)
+        r1 = minimize_povm3(s, CFG)
+        r2 = minimize_povm3(s, CFG)
         assert r1.best_value == r2.best_value
         assert r1.best_weights == r2.best_weights
         assert r1.best_euler == r2.best_euler
@@ -294,27 +340,28 @@ class TestMinimizePovm3:
     def test_precomputed_projective_is_bit_identical(self, rng):
         s = xstate_from_entries(*random_xstate_entries(rng))
         for base in LogBase:
-            own = minimize_povm3(s, QUICK, base)
-            passed = minimize_povm3(s, QUICK, base, minimize_projective(s, QUICK, base))
+            own = minimize_povm3(s, CFG, base)
+            passed = minimize_povm3(s, CFG, base, minimize_projective(s, CFG, base))
             assert own.best_value == passed.best_value
             assert own.best_weights == passed.best_weights
             assert own.best_euler == passed.best_euler
             assert own.n_evals == passed.n_evals
 
     def test_refinement_monotone_vs_global_stage(self, bench_states):
-        # replay the sampling stage and confirm refinement only improved it
+        # replay the reference search's sampling stage: its refinement
+        # only improved on it, and the 1-D solve is below both
         s = bench_states["rho3"]
-        cfg = QUICK
-        rng = np.random.default_rng(cfg.seed)
-        mus = _sample_weights_batch(rng, cfg.n_global_samples)
-        eulers = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.n_global_samples, 3))
+        rng = np.random.default_rng(QUICK_SEED)
+        mus = _sample_weights_batch(rng, QUICK_SAMPLES)
+        eulers = rng.uniform(0.0, 2.0 * math.pi, size=(QUICK_SAMPLES, 3))
         mc_min = _ce_batch(_bloch_tuple(s), mus, eulers, 1.0 / LN2).min()
-        res = minimize_povm3(s, cfg)
-        assert res.best_value <= mc_min + 1e-15
+        reference = quick_search(s).best_value
+        assert reference <= mc_min + 1e-15
+        assert minimize_povm3(s, CFG).best_value <= reference + 1e-12
 
     def test_witness_reproduces_value(self, bench_states):
         s = bench_states["rho1"]
-        res = minimize_povm3(s, QUICK)
+        res = minimize_povm3(s, CFG)
         p = build_povm3(res.best_weights, res.best_euler)
         assert_allclose(
             conditional_entropy_povm3(s, p, LogBase.BITS), res.best_value, atol=1e-9
@@ -329,33 +376,32 @@ class TestMinimizePovm3:
             assert d2m <= d2 + 1e-9
 
     def test_restart_stability_small(self, bench_states):
+        # the reference search from three seeds: none below the 1-D solve
         s = bench_states["rho1"]
-        vals = [
-            minimize_povm3(s, SearchConfig(seed=k, n_global_samples=4000)).best_value
-            for k in range(3)
-        ]
+        vals = [search_povm3(s, k, 4000).best_value for k in range(3)]
         assert max(vals) - min(vals) <= 1e-5
+        assert min(vals) >= minimize_povm3(s, CFG).best_value - 1e-12
 
     def test_nonnegative_discord_on_random_states(self, rng):
         for _ in range(10):
             s = xstate_from_entries(*random_xstate_entries(rng))
-            res = minimize_povm3(s, SearchConfig(seed=1, n_global_samples=1000))
+            res = minimize_povm3(s, SearchConfig(n_global_samples=1000))
             assert discord_of(s, res.best_value) >= -1e-8
 
 
-def povm3_starts(s, cfg):
-    """The objective of minimize_povm3(s, cfg) in bits, and its starts in
-    the order it refines them."""
+def povm3_starts(s):
+    """The objective of quick_search(s) in bits, and its starts in the
+    order it refines them."""
     bpt = _bloch_tuple(s)
-    rng = np.random.default_rng(cfg.seed)
-    mus = _sample_weights_batch(rng, cfg.n_global_samples)
-    eulers = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.n_global_samples, 3))
+    rng = np.random.default_rng(QUICK_SEED)
+    mus = _sample_weights_batch(rng, QUICK_SAMPLES)
+    eulers = rng.uniform(0.0, 2.0 * math.pi, size=(QUICK_SAMPLES, 3))
     order = np.argsort(_ce_batch(bpt, mus, eulers, 1.0 / LN2), kind="stable")
     starts = [
         tuple(float(v) for v in (*mus[i, :2], *eulers[i]))
         for i in order[:N_REFINE_CANDIDATES]
     ]
-    starts.append(_near_projective_start(minimize_projective(s, cfg)))
+    starts.append(_near_projective_start(minimize_projective(s, CFG)))
 
     def f(x):
         return _ce_raw(bpt, x[0], x[1], 1.0 - x[0] - x[1], *x[2:], 1.0 / LN2)
@@ -367,29 +413,29 @@ class TestStartPruning:
     def test_bounded_by_unpruned_search(self, bench_states, rng):
         randoms = [xstate_from_entries(*random_xstate_entries(rng)) for _ in range(3)]
         for s in [*bench_states.values(), *randoms]:
-            f, starts = povm3_starts(s, QUICK)
+            f, starts = povm3_starts(s)
             unpruned = min(
-                _pattern_search(f, x0, POVM3_STEPS, QUICK, weights=True)[1] for x0 in starts
+                _pattern_search(f, x0, POVM3_STEPS, CFG, weights=True)[1] for x0 in starts
             )
-            pruned = minimize_povm3(s, QUICK).best_value
+            pruned = quick_search(s).best_value
             assert unpruned <= pruned <= unpruned + 1e-9
 
     def test_trailing_start_stops_after_one_round(self, bench_states):
-        f, starts = povm3_starts(bench_states["rho2"], QUICK)
+        f, starts = povm3_starts(bench_states["rho2"])
         for x0 in starts:
-            full = _pattern_search(f, x0, POVM3_STEPS, QUICK, weights=True)
+            full = _pattern_search(f, x0, POVM3_STEPS, CFG, weights=True)
             # conditional entropies are >= 0, so -1 trails every value
-            stopped = _pattern_search(f, x0, POVM3_STEPS, QUICK, weights=True, incumbent=-1.0)
-            assert stopped[3] <= 1 + 2 * len(x0) * QUICK.n_refine_iters
+            stopped = _pattern_search(f, x0, POVM3_STEPS, CFG, weights=True, incumbent=-1.0)
+            assert stopped[3] <= 1 + 2 * len(x0) * CFG.n_refine_iters
             assert stopped[3] < full[3]
             assert stopped[1] >= full[1]
             assert _pattern_search(
-                f, x0, POVM3_STEPS, QUICK, weights=True, incumbent=math.inf
+                f, x0, POVM3_STEPS, CFG, weights=True, incumbent=math.inf
             ) == full
             # the search never rises above its projected start's value
             start_value = f([*_project_weights(*x0[:2]), *x0[2:]])
             assert _pattern_search(
-                f, x0, POVM3_STEPS, QUICK, weights=True, incumbent=start_value
+                f, x0, POVM3_STEPS, CFG, weights=True, incumbent=start_value
             ) == full
 
 
@@ -426,13 +472,13 @@ def compass_search(f, x0, steps0, cfg, incumbent=math.inf):
     return x, fx, converged, n_evals
 
 
-def compass_povm3(s, cfg):
-    """best_value and n_evals of minimize_povm3(s, cfg) refined by
+def compass_povm3(s):
+    """best_value and n_evals of quick_search(s) refined by
     compass_search."""
-    f, starts = povm3_starts(s, cfg)
-    best, n_evals = math.inf, cfg.n_global_samples
+    f, starts = povm3_starts(s)
+    best, n_evals = math.inf, QUICK_SAMPLES
     for x0 in starts:
-        _, fx, _, n = compass_search(f, x0, POVM3_STEPS, cfg, incumbent=best)
+        _, fx, _, n = compass_search(f, x0, POVM3_STEPS, CFG, incumbent=best)
         n_evals += n
         best = min(best, fx)
     return best, n_evals
@@ -444,7 +490,7 @@ class TestPatternMoves:
         rng = np.random.default_rng(61)
         randoms = [xstate_from_entries(*random_xstate_entries(rng)) for _ in range(5)]
         return [
-            (compass_povm3(s, QUICK), minimize_povm3(s, QUICK))
+            (compass_povm3(s), quick_search(s))
             for s in [*bench_states.values(), *randoms]
         ]
 
@@ -461,7 +507,7 @@ class TestPatternMoves:
         rng = np.random.default_rng(61)
         randoms = [xstate_from_entries(*random_xstate_entries(rng)) for _ in range(5)]
         for s in [*bench_states.values(), *randoms]:
-            assert minimize_povm3(s, QUICK) == minimize_povm3(s, QUICK)
+            assert quick_search(s) == quick_search(s)
 
     def test_sweep_cost_bound_is_reached_on_a_ramp(self):
         # every pattern move improves an unbounded linear objective, so
@@ -475,7 +521,7 @@ class TestPatternMoves:
 
     def test_sweep_cost_bounded_on_the_objective(self, bench_states):
         cfg = SearchConfig(n_refine_iters=1)
-        f, starts = povm3_starts(bench_states["rho1"], QUICK)
+        f, starts = povm3_starts(bench_states["rho1"])
         for x0 in starts:
             n = _pattern_search(f, x0, POVM3_STEPS, cfg, weights=True)[3]
             assert n <= 1 + RESET_ROUNDS * (2 * len(x0) + PATTERN_MAX + 1)
@@ -484,14 +530,94 @@ class TestPatternMoves:
 WITNESS_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 
+def povm3_discords(entries):
+    """delta3_min, delta2_min and delta2 of the state with these entries."""
+    s = xstate_from_entries(*entries)
+    proj = minimize_projective(s, CFG)
+    povm = minimize_povm3(s, CFG, proj=proj)
+    return discord_of(s, povm.best_value), discord_of(s, proj.best_value), ali_candidate(s).value
+
+
 class TestPovm3Properties:
     @WITNESS_SETTINGS
     @given(positive_xstates())
     def test_witness_rebuilds_and_reproduces_value(self, entries):
         s = xstate_from_entries(*entries)
-        res = minimize_povm3(s, QUICK)
+        res = minimize_povm3(s, CFG)
         p = build_povm3(res.best_weights, res.best_euler)
         assert abs(conditional_entropy_povm3(s, p, LogBase.BITS) - res.best_value) <= 1e-8
+
+    @PROPERTY_SETTINGS
+    @given(positive_xstates())
+    def test_invariant_under_eps_flip(self, entries):
+        a, b, c, d, eps, delta = entries
+        flipped = povm3_discords((a, b, c, d, -eps, delta))[0]
+        assert abs(flipped - povm3_discords(entries)[0]) <= 1e-15
+
+    @PROPERTY_SETTINGS
+    @given(positive_xstates())
+    def test_dominance_chain_exact(self, entries):
+        d3, d2m, d2 = povm3_discords(entries)
+        assert d3 <= d2m <= d2
+
+    @PROPERTY_SETTINGS
+    @given(positive_xstates())
+    def test_discord_nonnegative(self, entries):
+        assert min(povm3_discords(entries)) >= -1e-12
+
+
+def advantage_states(n_keep, seed, max_draws=400):
+    """States like rho1 (small a and c, |eps| >= sqrt(a d) / 2) on which
+    a POVM beats every projective measurement by more than 1e-9, drawn
+    until n_keep are kept."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    for _ in range(max_draws):
+        a, c = rng.uniform(0.0, 0.1, size=2)
+        b = rng.uniform(0.0, 0.01)
+        d = 1.0 - a - b - c
+        eps = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0) * math.sqrt(a * d)
+        delta = rng.uniform(-1.0, 1.0) * math.sqrt(b * c)
+        s = xstate_from_entries(a, b, c, d, eps, delta)
+        if minimize_povm3(s, CFG).best_value < minimize_projective(s, CFG).best_value - 1e-9:
+            kept.append(s)
+            if len(kept) == n_keep:
+                break
+    return kept
+
+
+class TestReferenceSearchGate:
+    """The 5-D reference search at its default budget is never below the
+    1-D solve by more than 1e-12."""
+
+    def assert_not_below(self, states):
+        for s in states:
+            assert search_povm3(s).best_value >= minimize_povm3(s, CFG).best_value - 1e-12
+
+    def test_random_states(self):
+        rng = np.random.default_rng(2718)
+        self.assert_not_below([xstate_from_entries(*random_xstate_entries(rng)) for _ in range(20)])
+
+    def test_povm_advantage_states(self):
+        states = advantage_states(12, seed=1)
+        assert len(states) == 12
+        self.assert_not_below(states)
+
+    def test_worst_case_state(self):
+        self.assert_not_below([xstate_from_entries(*WORST_ENTRIES)])
+
+
+class TestHeadlineBound:
+    def test_worst_case_gap_exceeds_paper_bound(self):
+        # the paper bounds delta2 - delta3_min by 0.004565 bits on
+        # general X states; this state exceeds it
+        s = xstate_from_entries(*WORST_ENTRIES)
+        res = minimize_povm3(s, CFG)
+        assert ali_candidate(s).value - discord_of(s, res.best_value) >= 0.00633
+        p = build_povm3(res.best_weights, res.best_euler)
+        rho4 = dense_xmatrix(s.a, s.b, s.c, s.d, s.eps, s.delta)
+        dense = ce_povm_oracle(rho4, res.best_weights.as_array(), p.dirs)
+        assert abs(dense - res.best_value) <= 1e-12
 
 
 class TestGridOracle:
@@ -517,20 +643,22 @@ class TestGridOracle:
                 grid_min = min(grid_min, float(vals.min()))
             res = minimize_povm3(s, SearchConfig())
             assert res.best_value <= grid_min + 1e-4
+            assert search_povm3(s).best_value >= res.best_value - 1e-12
 
 
 class TestPhiInvarianceAudit:
     def test_maximally_mixed_spread_exactly_zero(self, mixed_state):
-        rep = phi_invariance_audit(mixed_state, QUICK)
+        rep = phi_invariance_audit(mixed_state, minimize_povm3(mixed_state, CFG))
         assert rep.spread == 0.0
 
     def test_benchmark_spread_small(self, bench_states):
-        rep = phi_invariance_audit(bench_states["rho2"], QUICK)
+        s = bench_states["rho2"]
+        rep = phi_invariance_audit(s, minimize_povm3(s, CFG))
         assert rep.spread <= 1e-6
         assert len(rep.phi_values) == len(rep.ce_values)
 
     def test_report_values_near_optimum(self, bench_states):
         s = bench_states["rho2"]
-        res = minimize_povm3(s, QUICK)
-        rep = phi_invariance_audit(s, QUICK)
+        res = minimize_povm3(s, CFG)
+        rep = phi_invariance_audit(s, res)
         assert min(rep.ce_values) <= res.best_value + 1e-9
