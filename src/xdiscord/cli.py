@@ -5,7 +5,8 @@ Subcommands:
   run        compute delta3_min, delta2_min, delta2 and differences per state
   validate   parse and validate a state file
 
-State files are JSON arrays of records with decimal-string fields:
+State files are JSON arrays of records whose fields are JSON numbers
+or plain decimal strings:
 
   [{"name":"rho1","a":"0.027180","b":"0.000224","c":"0.027327",
     "d":"0.945269","eps":"0.141651","delta":"0"}]
@@ -17,8 +18,9 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from importlib import resources
 
 from .discord import ali_candidate, discord_given_conditional_entropy
@@ -28,10 +30,7 @@ from .optimizer import SearchConfig, minimize_povm3, minimize_projective
 from .qstate import XState, xstate_from_entries
 
 RECORD_FIELDS = ("a", "b", "c", "d", "eps", "delta")
-CSV_COLUMNS = (
-    "name", "delta3_min", "delta2_min", "delta2", "diff3", "diff2",
-    "mu1", "mu2", "mu3", "psi", "theta", "phi", "base",
-)
+DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,9 @@ class StateResult:
     phi: float
 
 
+CSV_COLUMNS = (*(f.name for f in fields(StateResult)), "base")
+
+
 @dataclass(frozen=True)
 class DiscordReport:
     results: tuple[StateResult, ...]
@@ -62,7 +64,9 @@ class DiscordReport:
 def parse_state_file(text: str) -> list[tuple[str, XState]]:
     """Parse a JSON state file into named, validated X states."""
     try:
-        data = json.loads(text)
+        # floats, not ints, so an integer literal too large for a float
+        # reads as inf and fails validation instead of overflowing
+        data = json.loads(text, parse_int=float)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}: {e.msg}") from e
     if not isinstance(data, list):
@@ -82,12 +86,11 @@ def parse_state_file(text: str) -> list[tuple[str, XState]]:
         for fld in RECORD_FIELDS:
             if fld not in rec:
                 raise ParseError(f"record '{name}': missing field '{fld}'")
-            try:
-                vals.append(float(rec[fld]))
-            except (TypeError, ValueError) as e:
-                raise ParseError(
-                    f"record '{name}': bad number for '{fld}': {rec[fld]!r}"
-                ) from e
+            v = rec[fld]
+            # float() would take True, "0.2_5" and "nan"
+            if not (type(v) is float or isinstance(v, str) and DECIMAL.fullmatch(v)):
+                raise ParseError(f"record '{name}': bad number for '{fld}': {v!r}")
+            vals.append(float(v))
         try:
             state = xstate_from_entries(*vals)
         except ValueError as e:
@@ -150,19 +153,7 @@ def render_json(report: DiscordReport) -> str:
     payload = {
         "base": report.base.value,
         "n_global_samples": report.n_global_samples,
-        "results": [
-            {
-                "name": r.name,
-                "delta3_min": r.delta3_min,
-                "delta2_min": r.delta2_min,
-                "delta2": r.delta2,
-                "diff3": r.diff3,
-                "diff2": r.diff2,
-                "mu1": r.mu1, "mu2": r.mu2, "mu3": r.mu3,
-                "psi": r.psi, "theta": r.theta, "phi": r.phi,
-            }
-            for r in report.results
-        ],
+        "results": [asdict(r) for r in report.results],
     }
     return json.dumps(payload, indent=2)
 
@@ -182,17 +173,8 @@ def render_csv(report: DiscordReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in report.results:
-        writer.writerow(
-            [
-                r.name,
-                repr(r.delta3_min), repr(r.delta2_min), repr(r.delta2),
-                repr(r.diff3), repr(r.diff2),
-                repr(r.mu1), repr(r.mu2), repr(r.mu3),
-                repr(r.psi), repr(r.theta), repr(r.phi),
-                report.base.value,
-            ]
-        )
+    # the csv module writes floats by repr, so they round-trip exactly
+    writer.writerows((*astuple(r), report.base.value) for r in report.results)
     return buf.getvalue()
 
 

@@ -1,11 +1,11 @@
 """Search for minimum conditional entropy over measurements.
 
-Both searches are deterministic 1-D solves of one form (_solve_1d): a
-fixed scan of n_global_samples points over the parameter's interval,
-endpoints included, then golden-section refinement of the cells either
-side of the best scan point down to refine_tol, capped at
-n_refine_iters steps. Interior optima exist, so the whole interval is
-scanned.
+Both searches are deterministic 1-D solves of one form (_solve_1d):
+repeated scans of n_global_samples points, the first over the whole
+interval, endpoints included, each later one over the two cells either
+side of the previous scan's best point, until the bracket is at most
+refine_tol or n_refine_iters scans have run. Interior optima exist, so
+the whole interval is scanned first.
 
 Projective case: an optimal axis lies in the plane of z and the
 transverse axis with the larger |t|, so the solve runs over the axis's
@@ -39,8 +39,6 @@ from .entropy import LogBase
 from .povm import TRIANGLE_MARGIN, EulerAngles, PovmWeights
 from .qstate import XState
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # box of the pole weight mu1 = |t| / (1 + |t|) of the mirror triangle,
 # 1e-12 inside the admissible margins so weight triples at its ends
 # still validate strictly
@@ -52,14 +50,16 @@ MIRROR_T_HI = PROJ_HI / (1.0 - PROJ_HI)
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets of the 1-D solves: scan points, golden-section steps and tolerance."""
+    """Budgets of the 1-D solves: points per scan (at least 4, so a scan
+    narrows its bracket), the cap on scan rounds, and the bracket
+    tolerance."""
 
     n_global_samples: int = 2001
     n_refine_iters: int = 400
     refine_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n_global_samples < 2 or self.n_refine_iters < 1:
+        if self.n_global_samples < 4 or self.n_refine_iters < 1:
             raise ValueError(f"counts too small in {self}")
         if not self.refine_tol > 0.0:
             raise ValueError(f"refine_tol must be positive, got {self.refine_tol!r}")
@@ -72,9 +72,9 @@ class OptResult:
     best_value is the minimum conditional entropy found; the witness is
     (best_weights, best_euler) for the 3-element case and
     best_direction for the projective case. n_evals counts the
-    objective evaluations of the search's own 1-D solve, and converged
-    reports whether the golden section of the solve that produced
-    best_value shrank its bracket below refine_tol.
+    objective evaluations of the search's own 1-D solve, n_global_samples
+    per scan round, and converged reports whether the solve that
+    produced best_value narrowed its bracket to refine_tol.
     """
 
     best_value: float
@@ -86,36 +86,26 @@ class OptResult:
 
 
 def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig):
-    """Minimize the vectorized f over [lo, hi]: scan, then golden section.
+    """Minimize the vectorized f over [lo, hi] by repeated scans.
 
-    Returns (x, f(x), number of f evaluations, converged).
+    Each round scans [lo, hi] at n_global_samples points, endpoints
+    included, and narrows [lo, hi] to the two cells either side of the
+    round's best point, until hi - lo <= refine_tol or after
+    n_refine_iters rounds. Returns (x, f(x), number of f evaluations,
+    converged), x the best point over all rounds.
     """
     n = cfg.n_global_samples
-    grid = np.linspace(lo, hi, n)
-    vals = f(grid)
-    i = int(np.argmin(vals))
-    best_x, best_f = float(grid[i]), float(vals[i])
-    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n - 1)])
-
-    def g(x):
-        return float(f(x))
-
-    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    n_evals = n + 2
-    budget = n_evals + cfg.n_refine_iters
-    while hi - lo > cfg.refine_tol and n_evals < budget:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = g(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = g(x2)
-        n_evals += 1
-    best_f, best_x = min((best_f, best_x), (f1, x1), (f2, x2))
-    return best_x, best_f, n_evals, hi - lo <= cfg.refine_tol
+    best_x, best_f = lo, math.inf
+    for rounds in range(1, cfg.n_refine_iters + 1):
+        grid = np.linspace(lo, hi, n)
+        vals = f(grid)
+        i = int(np.argmin(vals))
+        if vals[i] < best_f:
+            best_x, best_f = float(grid[i]), float(vals[i])
+        lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n - 1)])
+        if hi - lo <= cfg.refine_tol:
+            break
+    return best_x, best_f, rounds * n, hi - lo <= cfg.refine_tol
 
 
 def minimize_projective(

@@ -24,11 +24,6 @@ UNIT_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-IDENT_2 = np.eye(2, dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class PovmWeights:
@@ -121,15 +116,6 @@ class Povm3:
             raise ValueError(f"completeness sum mu_k m_k = {closure}, expected 0")
         dirs.setflags(write=False)
         object.__setattr__(self, "dirs", dirs)
-
-    def elements(self) -> list[np.ndarray]:
-        """The three 2x2 operators mu_k (I + m_k . sigma)."""
-        mus = self.weights.as_array()
-        out = []
-        for mu, m in zip(mus, self.dirs):
-            op = mu * (IDENT_2 + m[0] * PAULI_X + m[1] * PAULI_Y + m[2] * PAULI_Z)
-            out.append(op)
-        return out
 
 
 def tan2_half_angle(mu_a, mu_b, mu_c):

@@ -50,6 +50,11 @@ def bloch_element(mu, m):
     return mu * (I2 + m[0] * SX + m[1] * SY + m[2] * SZ)
 
 
+def povm_elements(p):
+    """The 2x2 operators mu_k (I + m_k . sigma) of a povm.Povm3."""
+    return [bloch_element(mu, m) for mu, m in zip(p.weights.as_array(), p.dirs)]
+
+
 def ce_elements_oracle(rho4, elements, base="bits"):
     """Conditional entropy via explicit operator application.
 

@@ -17,6 +17,7 @@ from oracles import (
     ce_projective_oracle,
     dense_xmatrix,
     entropy_of_matrix,
+    povm_elements,
     random_unit_vector,
     random_xstate_entries,
 )
@@ -220,7 +221,7 @@ def test_criterion_7_property_suites(states, pipeline_bits):
         if np.linalg.norm(w.as_array() @ p.dirs) > 1e-10:
             errs.append("completeness violated")
             break
-        lams = np.linalg.eigvalsh(np.stack(p.elements()))
+        lams = np.linalg.eigvalsh(np.stack(povm_elements(p)))
         if lams.min() < -1e-12:
             errs.append("element positivity violated")
             break

@@ -4,9 +4,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import BENCH_ENTRIES, MIXED_ENTRIES
+from oracles import ce_povm_oracle, dense_xmatrix
 from xdiscord.cli import (
     CSV_COLUMNS,
     DiscordReport,
@@ -19,10 +22,12 @@ from xdiscord.cli import (
     render_table,
     run_report,
 )
-from xdiscord import cli, optimizer
+from xdiscord import cli, errors, optimizer
+from xdiscord.discord import discord_given_conditional_entropy
 from xdiscord.entropy import LogBase
 from xdiscord.errors import ParseError
 from xdiscord.optimizer import SearchConfig
+from xdiscord.povm import EulerAngles, PovmWeights, build_povm3
 from xdiscord.qstate import xstate_from_entries
 
 QUICK = SearchConfig(n_global_samples=501)
@@ -79,6 +84,37 @@ class TestParseStateFile:
         bad = '[{"name":"x","a":"one","b":"0","c":"0","d":"0","eps":"0","delta":"0"}]'
         with pytest.raises(ParseError, match="'a'"):
             parse_state_file(bad)
+
+    @pytest.mark.parametrize(
+        "fld, value",
+        [
+            ("a", True),  # bool is an int subclass: float(True) == 1.0
+            ("d", False),
+            ("a", "0.2_5"),  # Python-only digit grouping
+            ("a", " 0.25"),
+            ("a", "\uff10.25"),  # a fullwidth digit zero
+        ],
+    )
+    def test_non_decimal_entry_rejected(self, fld, value):
+        # read by float(), each record would be a valid state
+        rec = {"name": "x", "a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "eps": 0, "delta": 0}
+        if isinstance(value, bool):
+            rec.update(a=1, b=0, c=0, d=0)
+        rec[fld] = value
+        with pytest.raises(ParseError, match=f"record 'x'.*'{fld}'"):
+            parse_state_file(json.dumps([rec]))
+
+    def test_huge_integer_rejected(self):
+        # float() of this int overflows; as a float it is inf, not a state
+        text = '[{"name":"x","a":1' + "0" * 400 + ',"b":0,"c":0,"d":0,"eps":0,"delta":0}]'
+        with pytest.raises(ParseError, match="record 'x'"):
+            parse_state_file(text)
+
+    def test_plain_decimals_and_numbers_accepted(self):
+        text = ('[{"name":"x","a":"2.5e-1","b":".25","c":0.25,"d":"+0.25",'
+                '"eps":"-0.0","delta":0}]')
+        [(_, s)] = parse_state_file(text)
+        assert (s.a, s.b, s.c, s.d, s.eps, s.delta) == (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
 
     def test_non_array_rejected(self):
         with pytest.raises(ParseError, match="array"):
@@ -227,6 +263,11 @@ class TestMain:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows == [list(CSV_COLUMNS)]
 
+    def test_run_scan_too_small_fails(self, capsys):
+        # a 3-point scan cannot narrow its bracket
+        assert main(["run", "--benchmarks", "--samples", "3"]) == 1
+        assert "counts too small" in capsys.readouterr().err
+
     def test_run_without_sources_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["run"])
@@ -251,3 +292,51 @@ def test_report_equality_and_types():
     r = rep.results[0]
     for field in ("delta3_min", "delta2_min", "delta2", "mu1", "psi"):
         assert isinstance(getattr(r, field), float)
+
+
+unit = st.floats(0.0, 1.0)
+sign = st.sampled_from((-1.0, 1.0))
+
+
+@st.composite
+def edge_xstates(draw):
+    """Entries of an X state at an edge of the state set: A = +-1, pure,
+    product, or on the positivity boundary eps^2 = ad, delta^2 = bc."""
+    kind = draw(st.sampled_from(("a_plus1", "a_minus1", "pure", "product", "boundary")))
+    p, q = draw(unit), draw(unit)
+    if kind == "a_plus1":
+        return p, 0.0, 1.0 - p, 0.0, 0.0, 0.0
+    if kind == "a_minus1":
+        return 0.0, p, 0.0, 1.0 - p, 0.0, 0.0
+    if kind == "pure":
+        coh = draw(sign) * math.sqrt(p * (1.0 - p))
+        if draw(st.booleans()):
+            return p, 0.0, 0.0, 1.0 - p, coh, 0.0
+        return 0.0, p, 1.0 - p, 0.0, 0.0, coh
+    if kind == "product":
+        return p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q), 0.0, 0.0
+    diag = draw(st.lists(unit, min_size=4, max_size=4).filter(lambda x: sum(x) > 0.0))
+    a, b, c, d = (x / sum(diag) for x in diag)
+    return a, b, c, d, draw(sign) * math.sqrt(a * d), draw(sign) * math.sqrt(b * c)
+
+
+PACKAGE_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(edge_xstates())
+def test_edge_states_valid_or_typed_error(entries):
+    s = xstate_from_entries(*entries)
+    try:
+        [r] = run_report([("edge", s)], SearchConfig(), LogBase.BITS).results
+    except PACKAGE_ERRORS:
+        return
+    values = (r.delta3_min, r.delta2_min, r.delta2, r.diff3, r.diff2,
+              r.mu1, r.mu2, r.mu3, r.psi, r.theta, r.phi)
+    assert all(math.isfinite(v) for v in values)
+    assert r.delta3_min >= -1e-12
+    assert r.delta3_min <= r.delta2_min <= r.delta2
+    p = build_povm3(PovmWeights(r.mu1, r.mu2, r.mu3), EulerAngles(r.psi, r.theta, r.phi))
+    rho4 = dense_xmatrix(s.a, s.b, s.c, s.d, s.eps, s.delta)
+    ce = ce_povm_oracle(rho4, p.weights.as_array(), p.dirs)
+    assert abs(discord_given_conditional_entropy(s, ce, None).value - r.delta3_min) <= 1e-8

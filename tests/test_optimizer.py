@@ -41,8 +41,10 @@ from xdiscord.optimizer import (
     MIRROR_T_LO,
     PROJ_HI,
     PROJ_LO,
+    OptResult,
     SearchConfig,
     _mirror_euler,
+    _mirror_t,
     minimize_povm3,
     minimize_projective,
 )
@@ -74,6 +76,10 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             # a scan must hold both ends of its interval
             SearchConfig(n_global_samples=1)
+        for n in (2, 3):
+            with pytest.raises(ValueError):
+                # the best point's two neighbouring cells span the whole scan
+                SearchConfig(n_global_samples=n)
         with pytest.raises(ValueError):
             SearchConfig(refine_tol=0.0)
 
@@ -564,6 +570,33 @@ class TestPovm3Properties:
     @given(positive_xstates())
     def test_discord_nonnegative(self, entries):
         assert min(povm3_discords(entries)) >= -1e-12
+
+
+DENSE_POINTS = 200_001
+
+
+class TestSolve1dProperties:
+    """Each 1-D solve is never above a dense scan of its own objective."""
+
+    @PROPERTY_SETTINGS
+    @given(positive_xstates())
+    def test_projective_solve(self, entries):
+        s = xstate_from_entries(*entries)
+        res = minimize_projective(s, CFG)
+        dense = conditional_entropy_plane(s, np.linspace(0.0, 1.0, DENSE_POINTS)).min()
+        assert res.converged
+        assert res.best_value <= dense + 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(positive_xstates())
+    def test_mirror_solve(self, entries):
+        s = xstate_from_entries(*entries)
+        # an incumbent that never wins leaves the mirror solve's own result
+        res = minimize_povm3(s, CFG, proj=OptResult(math.inf, 0, False))
+        t = np.linspace(-MIRROR_T_HI, MIRROR_T_HI, DENSE_POINTS)
+        dense = conditional_entropy_mirror(s, _mirror_t(t)).min()
+        assert res.converged
+        assert res.best_value <= dense + 1e-12
 
 
 def advantage_states(n_keep, seed, max_draws=400):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import EDGE_WEIGHTS
+from oracles import povm_elements
 from xdiscord.errors import DegenerateError
 from xdiscord.povm import (
     EulerAngles,
@@ -196,7 +197,7 @@ class TestBuildPovm3:
             w = sample_weights(rng)
             e = EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, size=3))
             p = build_povm3(w, e)
-            elements = p.elements()
+            elements = povm_elements(p)
             total = sum(elements)
             assert_allclose(total, np.eye(2), atol=1e-10)
             for mu, op in zip(w.as_array(), elements):
