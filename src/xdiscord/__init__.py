@@ -3,25 +3,20 @@
 Computes discord by minimizing post-measurement conditional entropy
 over projective measurements and general 3-element POVMs, with a CLI
 that reports bundled benchmark states in both log bases.
+
+__all__ is the supported API, as listed in the README; everything else
+stays importable from its submodule.
 """
 
 from .discord import (
     DiscordValue,
-    MeasurementOutcome,
     ali_candidate,
     conditional_entropy_povm3,
     conditional_entropy_projective,
     discord_given_conditional_entropy,
     e_function,
-    povm_outcomes,
 )
-from .entropy import (
-    LogBase,
-    binary_entropy,
-    marginal_entropy_b,
-    mutual_information,
-    von_neumann_xstate,
-)
+from .entropy import LogBase, binary_entropy, mutual_information, von_neumann_xstate
 from .errors import (
     DegenerateError,
     DomainError,
@@ -30,12 +25,7 @@ from .errors import (
     TraceError,
     ZeroProbabilityError,
 )
-from .optimizer import (
-    OptResult,
-    SearchConfig,
-    minimize_povm3,
-    minimize_projective,
-)
+from .optimizer import OptResult, SearchConfig, minimize_povm3, minimize_projective
 from .povm import (
     EulerAngles,
     Povm3,
@@ -43,19 +33,8 @@ from .povm import (
     TriangleAngles,
     angles_from_weights,
     build_povm3,
-    planar_directions,
-    rotation_matrix,
-    sample_weights,
 )
-from .qstate import (
-    BlochParams,
-    XState,
-    bloch_params,
-    eigenvalues,
-    marginal_b,
-    to_matrix,
-    xstate_from_entries,
-)
+from .qstate import BlochParams, XState, bloch_params, eigenvalues, xstate_from_entries
 
 __all__ = [
     "BlochParams",
@@ -64,7 +43,6 @@ __all__ = [
     "DomainError",
     "EulerAngles",
     "LogBase",
-    "MeasurementOutcome",
     "OptResult",
     "ParseError",
     "Povm3",
@@ -85,16 +63,9 @@ __all__ = [
     "discord_given_conditional_entropy",
     "e_function",
     "eigenvalues",
-    "marginal_b",
-    "marginal_entropy_b",
     "minimize_povm3",
     "minimize_projective",
     "mutual_information",
-    "planar_directions",
-    "povm_outcomes",
-    "rotation_matrix",
-    "sample_weights",
-    "to_matrix",
     "von_neumann_xstate",
     "xstate_from_entries",
 ]

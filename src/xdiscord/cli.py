@@ -184,7 +184,13 @@ def _gather_states(args) -> list[tuple[str, XState]]:
         states.extend(load_benchmarks())
     if args.states is not None:
         with open(args.states, encoding="utf-8") as fh:
-            states.extend(parse_state_file(fh.read()))
+            extra = parse_state_file(fh.read())
+        # parse_state_file rejects a repeat within one file
+        bundled = {name for name, _ in states}
+        for name, _ in extra:
+            if name in bundled:
+                raise ParseError(f"{args.states}: state {name!r} is also a bundled benchmark")
+        states.extend(extra)
     return states
 
 

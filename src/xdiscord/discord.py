@@ -6,13 +6,16 @@ subsystem A in a qubit state whose Bloch length is
     E(m) = sqrt((t1 mx)^2 + (t2 my)^2 + (t3 mz + B)^2) / (1 + A mz),
 
 so the outcome contributes probability mu (1 + A mz) and entropy h(E).
-Discord follows as S(rho_B) - S(rho_AB) + min conditional entropy.
+Every conditional entropy here is a weighted sum of one vectorized
+per-outcome term (1 + A mz) h(E) (_outcome_term), and discord follows
+as S(rho_B) - S(rho_AB) + min conditional entropy.
 
 Projective measurements reduce to one variable (conditional_entropy_plane),
 whose endpoints give delta2: the better of the z axis and the larger
 transverse axis, as in Ali-Rau-Alber (ali_candidate). The 3-element
 search runs over one variable too, the mirror-symmetric triangle of
-conditional_entropy_mirror; both are sums of the same per-outcome term.
+conditional_entropy_mirror. conditional_entropy_projective and
+conditional_entropy_povm3 take general directions.
 """
 
 from __future__ import annotations
@@ -29,22 +32,7 @@ from .povm import Povm3
 from .qstate import XState, bloch_params
 
 PROB_FLOOR = 1e-12
-E_CLAMP_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One POVM outcome: its probability and post-measurement Bloch length."""
-
-    prob: float
-    e_value: float
-
-    def __post_init__(self):
-        if self.prob < 0.0:
-            raise ValueError(f"negative outcome probability {self.prob!r}")
-        if self.e_value > 1.0 + E_CLAMP_TOL:
-            raise ValueError(f"Bloch length {self.e_value!r} above 1")
 
 
 @dataclass(frozen=True)
@@ -57,12 +45,34 @@ class DiscordValue:
     witness: Any = None
 
 
-def _check_unit(m) -> tuple[float, float, float]:
-    mx, my, mz = float(m[0]), float(m[1]), float(m[2])
-    norm = math.sqrt(mx * mx + my * my + mz * mz)
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+def _bloch_length(bp, tt, mz):
+    """(1 + A mz, live, E clamped to [0, 1]) of the outcome directions
+    with z-component mz and transverse part tt = (t1 mx)^2 + (t2 my)^2,
+    vectorized; live marks the outcomes that occur, 1 + A mz > PROB_FLOOR."""
+    den = 1.0 + bp.A * mz
+    live = den > PROB_FLOOR
+    e = np.sqrt(tt + (bp.t3 * mz + bp.B) ** 2) / np.where(live, den, 1.0)
+    return den, live, np.clip(e, 0.0, 1.0)
+
+
+def _outcome_term(bp, tt, mz, base: LogBase):
+    """Per-outcome term (1 + A mz) h(E) of _bloch_length's directions;
+    0 for an outcome that never occurs."""
+    den, live, e = _bloch_length(bp, tt, mz)
+    return np.where(live, den * binary_entropy(e, base), 0.0)
+
+
+def _transverse(bp, dirs):
+    """(t1 mx)^2 + (t2 my)^2 of the directions in the last axis of dirs."""
+    return (bp.t1 * dirs[..., 0]) ** 2 + (bp.t2 * dirs[..., 1]) ** 2
+
+
+def _check_unit(m) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    norm = math.sqrt(float(m @ m))
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
         raise ValueError(f"direction norm {norm!r} deviates from 1")
-    return mx, my, mz
+    return m
 
 
 def e_function(s: XState, m) -> float:
@@ -71,64 +81,35 @@ def e_function(s: XState, m) -> float:
     Raises ZeroProbabilityError when 1 + A*mz <= 1e-12: the outcome
     never occurs and its entropy term must be skipped by the caller.
     """
-    mx, my, mz = _check_unit(m)
+    m = _check_unit(m)
     bp = bloch_params(s)
-    denom = 1.0 + bp.A * mz
-    if denom <= PROB_FLOOR:
-        raise ZeroProbabilityError(f"outcome probability factor {denom!r} vanishes")
-    num = math.sqrt(
-        (bp.t1 * mx) ** 2 + (bp.t2 * my) ** 2 + (bp.t3 * mz + bp.B) ** 2
-    )
-    return min(max(num / denom, 0.0), 1.0)
-
-
-def povm_outcomes(s: XState, p: Povm3) -> list[MeasurementOutcome]:
-    """Probabilities and Bloch lengths for the three outcomes of p.
-
-    Zero-probability outcomes get e_value 0; their entropy weight is 0.
-    """
-    bp = bloch_params(s)
-    mus = p.weights.as_array()
-    out = []
-    for mu, m in zip(mus, p.dirs):
-        prob = mu * (1.0 + bp.A * m[2])
-        if prob <= mu * PROB_FLOOR:
-            out.append(MeasurementOutcome(prob=max(prob, 0.0), e_value=0.0))
-        else:
-            out.append(MeasurementOutcome(prob=prob, e_value=e_function(s, m)))
-    return out
+    den, live, e = _bloch_length(bp, _transverse(bp, m), m[2])
+    if not live:
+        raise ZeroProbabilityError(f"outcome probability factor {float(den)!r} vanishes")
+    return float(e)
 
 
 def conditional_entropy_povm3(s: XState, p: Povm3, base: LogBase = LogBase.BITS) -> float:
     """Average post-measurement entropy sum_k p_k h(E_k) for a 3-element POVM."""
-    return sum(
-        o.prob * binary_entropy(o.e_value, base)
-        for o in povm_outcomes(s, p)
-        if o.prob > 0.0
-    )
+    bp = bloch_params(s)
+    terms = _outcome_term(bp, _transverse(bp, p.dirs), p.dirs[:, 2], base)
+    return float(p.weights.as_array() @ terms)
 
 
 def conditional_entropy_projective(s: XState, n, base: LogBase = LogBase.BITS) -> float:
     """Two-outcome specialization: antipodal directions n and -n, weights 1/2."""
-    nx, ny, nz = _check_unit(n)
+    n = _check_unit(n)
     bp = bloch_params(s)
-    total = 0.0
-    for sgn in (1.0, -1.0):
-        prob = 0.5 * (1.0 + bp.A * sgn * nz)
-        if prob <= 0.5 * PROB_FLOOR:
-            continue
-        total += prob * binary_entropy(
-            e_function(s, (sgn * nx, sgn * ny, sgn * nz)), base
-        )
-    return total
+    terms = _outcome_term(bp, _transverse(bp, n), np.array([n[2], -n[2]]), base)
+    return 0.5 * float(terms.sum())
 
 
 def discord_given_conditional_entropy(
     s: XState, ce: float, witness: Any, base: LogBase = LogBase.BITS
 ) -> DiscordValue:
     """Assemble a DiscordValue: S(rho_B) - S(rho_AB) + ce."""
-    if ce < -PROB_FLOOR:
-        raise ValueError(f"negative conditional entropy {ce!r}")
+    if not -PROB_FLOOR <= ce < math.inf:  # NaN fails too
+        raise ValueError(f"conditional entropy {ce!r} is negative or not finite")
     value = marginal_entropy_b(s, base) - von_neumann_xstate(s, base) + ce
     return DiscordValue(value=value, conditional_entropy=ce, base=base, witness=witness)
 
@@ -142,15 +123,10 @@ def plane_direction(s: XState, nz: float) -> tuple[float, float, float]:
 
 
 def _plane_term(bp, mz, base: LogBase):
-    """Per-outcome term (1 + A mz) h(E) of a unit direction with
-    z-component mz in the plane of plane_direction, vectorized over mz;
-    0 for an outcome that never occurs."""
-    den = 1.0 + bp.A * mz
-    live = den > PROB_FLOOR
+    """_outcome_term of the unit direction with z-component mz in the
+    plane of plane_direction, vectorized over mz."""
     tt = max(bp.t1 * bp.t1, bp.t2 * bp.t2) * (1.0 - mz * mz)
-    e = np.sqrt(tt + (bp.t3 * mz + bp.B) ** 2) / np.where(live, den, 1.0)
-    h = binary_entropy(np.clip(e, 0.0, 1.0), base)
-    return np.where(live, den * h, 0.0)
+    return _outcome_term(bp, tt, mz, base)
 
 
 def conditional_entropy_plane(s: XState, nz, base: LogBase = LogBase.BITS):

@@ -39,10 +39,10 @@ def binary_entropy(x, base: LogBase = LogBase.BITS):
     """Entropy of the distribution {(1+x)/2, (1-x)/2}.
 
     Accepts a scalar or ndarray; |x| may exceed 1 by at most 1e-9
-    (clamped), anything larger raises DomainError.
+    (clamped), anything larger or NaN raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + X_DOMAIN_TOL):
+    if not np.all(np.abs(arr) <= 1.0 + X_DOMAIN_TOL):  # NaN fails too
         raise DomainError(f"binary_entropy argument out of [-1, 1]: {x!r}")
     arr = np.clip(arr, -1.0, 1.0)
     h = -(_plogp((1.0 + arr) / 2.0) + _plogp((1.0 - arr) / 2.0)) * _scale(base)

@@ -162,15 +162,18 @@ def minimize_povm3(
     """Minimum 3-element POVM conditional entropy.
 
     The better of the mirror-triangle solve over t in
-    [-MIRROR_T_HI, MIRROR_T_HI] and proj, the result of
-    minimize_projective(s, cfg, base), which is solved here when
-    omitted; proj wins ties. Its witness rebuilds through
-    povm.build_povm3: the mirror triangle itself, or, when proj wins,
-    the (PROJ_HI, PROJ_HI, 1 - 2 PROJ_HI) triple with its first
-    direction on proj's axis, whose value is proj's to within ~1e-9.
+    [-MIRROR_T_HI, MIRROR_T_HI] and proj, which must be
+    minimize_projective(s, cfg, base) and is solved here when omitted;
+    proj wins ties. A proj without best_direction raises ValueError.
+    The witness rebuilds through povm.build_povm3: the mirror triangle
+    itself, or, when proj wins, the (PROJ_HI, PROJ_HI, 1 - 2 PROJ_HI)
+    triple with its first direction on proj's axis, whose value is
+    proj's to within ~1e-9.
     """
     if proj is None:
         proj = minimize_projective(s, cfg, base)
+    elif proj.best_direction is None:
+        raise ValueError("proj has no best_direction: pass minimize_projective(s, cfg, base)")
     t, value, n_evals, converged = _solve_1d(
         lambda t: conditional_entropy_mirror(s, _mirror_t(t), base),
         -MIRROR_T_HI, MIRROR_T_HI, cfg,

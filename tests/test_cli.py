@@ -268,6 +268,14 @@ class TestMain:
         assert main(["run", "--benchmarks", "--samples", "3"]) == 1
         assert "counts too small" in capsys.readouterr().err
 
+    def test_run_name_in_both_sources_fails(self, tmp_path, capsys):
+        f = tmp_path / "states.json"
+        f.write_text(GOOD_RECORD)  # a state named rho1
+        assert main(["run", "--benchmarks", "--states", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert "'rho1'" in captured.err
+        assert captured.out == ""
+
     def test_run_without_sources_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["run"])

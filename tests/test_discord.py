@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 
 from conftest import BENCH_ENTRIES
 from oracles import (
+    I2,
     ce_povm_oracle,
     ce_projective_oracle,
     dense_xmatrix,
+    povm_elements,
     random_unit_vector,
     random_xstate_entries,
 )
@@ -18,7 +20,6 @@ from xdiscord.discord import (
     conditional_entropy_projective,
     discord_given_conditional_entropy,
     e_function,
-    povm_outcomes,
 )
 from xdiscord.entropy import LogBase
 from xdiscord.errors import ZeroProbabilityError
@@ -106,9 +107,9 @@ class TestConditionalEntropyPovm3:
 
     def test_probability_closure(self, rng):
         for _ in range(1000):
-            s = xstate_from_entries(*random_xstate_entries(rng))
+            rho = dense_xmatrix(*random_xstate_entries(rng))
             p = random_povm(rng)
-            probs = [o.prob for o in povm_outcomes(s, p)]
+            probs = [np.trace(np.kron(I2, m) @ rho).real for m in povm_elements(p)]
             assert_allclose(sum(probs), 1.0, atol=1e-10)
 
     def test_element_permutation_invariance(self, bench_states, rng):
@@ -175,6 +176,10 @@ class TestConditionalEntropyProjective:
                 atol=1e-14,
             )
 
+    def test_nan_direction_rejected(self, bench_states):
+        with pytest.raises(ValueError):
+            conditional_entropy_projective(bench_states["rho1"], (math.nan, 0.0, 1.0))
+
     def test_extreme_marginal_state(self):
         # A = -1 makes the +z outcome impossible; entropy term skipped
         s = xstate_from_entries(0.0, 0.5, 0.0, 0.5, 0.0, 0.0)
@@ -212,6 +217,11 @@ class TestDiscordAssembly:
     def test_negative_ce_rejected(self, mixed_state):
         with pytest.raises(ValueError):
             discord_given_conditional_entropy(mixed_state, -0.5, None, LogBase.BITS)
+
+    @pytest.mark.parametrize("ce", [math.nan, math.inf])
+    def test_non_finite_ce_rejected(self, mixed_state, ce):
+        with pytest.raises(ValueError):
+            discord_given_conditional_entropy(mixed_state, ce, None, LogBase.BITS)
 
 
 class TestAliCandidate:

@@ -51,6 +51,11 @@ class TestBinaryEntropy:
         with pytest.raises(DomainError):
             binary_entropy(1.0 + 1e-8, LogBase.BITS)
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_rejected(self, x):
+        with pytest.raises(DomainError):
+            binary_entropy(x, LogBase.BITS)
+
     def test_array_input(self):
         out = binary_entropy(np.array([0.0, 1.0]))
         assert_allclose(out, [1.0, 0.0], atol=1e-15)

@@ -353,6 +353,13 @@ class TestMinimizePovm3:
             assert own.best_euler == passed.best_euler
             assert own.n_evals == passed.n_evals
 
+    def test_proj_without_direction_rejected(self, bench_states):
+        s = bench_states["rho1"]
+        # a 3-element result: its witness is weights and angles, not an axis
+        wrong = minimize_povm3(s, CFG)
+        with pytest.raises(ValueError, match="minimize_projective"):
+            minimize_povm3(s, CFG, LogBase.BITS, wrong)
+
     def test_refinement_monotone_vs_global_stage(self, bench_states):
         # replay the reference search's sampling stage: its refinement
         # only improved on it, and the 1-D solve is below both
@@ -592,7 +599,8 @@ class TestSolve1dProperties:
     def test_mirror_solve(self, entries):
         s = xstate_from_entries(*entries)
         # an incumbent that never wins leaves the mirror solve's own result
-        res = minimize_povm3(s, CFG, proj=OptResult(math.inf, 0, False))
+        never = OptResult(math.inf, 0, False, best_direction=(0.0, 0.0, 1.0))
+        res = minimize_povm3(s, CFG, proj=never)
         t = np.linspace(-MIRROR_T_HI, MIRROR_T_HI, DENSE_POINTS)
         dense = conditional_entropy_mirror(s, _mirror_t(t)).min()
         assert res.converged

@@ -1,0 +1,46 @@
+"""The README's API list and benchmark table against the package."""
+
+import re
+from pathlib import Path
+
+import xdiscord
+from xdiscord.cli import load_benchmarks, render_table, run_report
+from xdiscord.entropy import LogBase
+from xdiscord.optimizer import SearchConfig
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _fenced_after(text: str, marker: str) -> str:
+    """The first fenced block after marker, without its fences."""
+    after = text.split(marker, 1)[1]
+    return after.split("```", 2)[1].split("\n", 1)[1]
+
+
+def _library_names():
+    block = _fenced_after(README, "## Library")
+    imported = re.search(r"from xdiscord import \(([^)]*)\)", block).group(1)
+    listed = README.split("Lower-level pieces", 1)[1].split("\n\n", 1)[0]
+    return (
+        [n.strip() for n in imported.split(",") if n.strip()],
+        re.findall(r"`([A-Za-z_]\w*)`", listed),
+    )
+
+
+def test_library_names_are_the_public_api():
+    imported, listed = _library_names()
+    assert imported and listed
+    assert sorted(imported + listed) == sorted(xdiscord.__all__)
+    for name in xdiscord.__all__:
+        assert getattr(xdiscord, name) is not None
+    namespace = {}
+    exec("from xdiscord import *", namespace)
+    assert set(xdiscord.__all__) <= set(namespace)
+
+
+def test_benchmark_table_matches_run():
+    shown = _fenced_after(README, "Benchmark output in bits").rstrip("\n")
+    report = run_report(load_benchmarks(), SearchConfig(), LogBase.BITS)
+    header, *table = render_table(report).split("\n")
+    assert header.startswith("# base=")
+    assert shown == "\n".join(table)
