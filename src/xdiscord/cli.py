@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, astuple, dataclass, fields
@@ -105,31 +106,34 @@ def load_benchmarks() -> list[tuple[str, XState]]:
     return parse_state_file(text)
 
 
-def _compute_state(name: str, s: XState, cfg: SearchConfig, base: LogBase) -> StateResult:
-    r2 = minimize_projective(s, cfg, base)
-    r3 = minimize_povm3(s, cfg, base, r2)
+def _compute_state(name: str, s: XState, cfg: SearchConfig, scale: float) -> StateResult:
+    bits = LogBase.BITS
+    r2 = minimize_projective(s, cfg, bits)
+    r3 = minimize_povm3(s, cfg, bits, r2)
     d3 = discord_given_conditional_entropy(
-        s, r3.best_value, (r3.best_weights, r3.best_euler), base
+        s, r3.best_value, (r3.best_weights, r3.best_euler), bits
     ).value
-    d2m = discord_given_conditional_entropy(s, r2.best_value, r2.best_direction, base).value
-    d2 = ali_candidate(s, base).value
+    d2m = discord_given_conditional_entropy(s, r2.best_value, r2.best_direction, bits).value
+    d2 = ali_candidate(s, bits).value
     w, e = r3.best_weights, r3.best_euler
     return StateResult(
         name=name,
-        delta3_min=d3,
-        delta2_min=d2m,
-        delta2=d2,
-        diff3=d3 - d2,
-        diff2=d2m - d2,
+        delta3_min=d3 * scale,
+        delta2_min=d2m * scale,
+        delta2=d2 * scale,
+        diff3=(d3 - d2) * scale,
+        diff2=(d2m - d2) * scale,
         mu1=w.mu1, mu2=w.mu2, mu3=w.mu3,
         psi=e.psi, theta=e.theta, phi=e.phi,
     )
 
 
 def run_report(states, cfg: SearchConfig, base: LogBase) -> DiscordReport:
-    """Compute the three-strategy comparison for every state, in input order."""
+    """Compute the three-strategy comparison for every state, in input
+    order. Each is solved once, in bits; nats only rescales by ln 2."""
+    scale = 1.0 if base is LogBase.BITS else math.log(2.0)
     return DiscordReport(
-        results=tuple(_compute_state(name, s, cfg, base) for name, s in states),
+        results=tuple(_compute_state(name, s, cfg, scale) for name, s in states),
         base=base,
         n_global_samples=cfg.n_global_samples,
     )
@@ -156,17 +160,6 @@ def render_json(report: DiscordReport) -> str:
         "results": [asdict(r) for r in report.results],
     }
     return json.dumps(payload, indent=2)
-
-
-def parse_report_json(text: str) -> DiscordReport:
-    """Inverse of render_json; floats round-trip exactly."""
-    payload = json.loads(text)
-    results = tuple(StateResult(**rec) for rec in payload["results"])
-    return DiscordReport(
-        results=results,
-        base=LogBase(payload["base"]),
-        n_global_samples=payload["n_global_samples"],
-    )
 
 
 def render_csv(report: DiscordReport) -> str:

@@ -69,6 +69,8 @@ def _transverse(bp, dirs):
 
 def _check_unit(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
+    if m.shape != (3,):
+        raise ValueError(f"direction must have 3 components, got shape {m.shape}")
     norm = math.sqrt(float(m @ m))
     if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
         raise ValueError(f"direction norm {norm!r} deviates from 1")

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .qstate import XState, eigenvalues, marginal_a, marginal_b
+from .qstate import XState, bloch_params, eigenvalues
 
 X_DOMAIN_TOL = 1e-9
 EIG_CLAMP = -1e-10
@@ -63,15 +63,15 @@ def von_neumann_xstate(s: XState, base: LogBase = LogBase.BITS) -> float:
 
 
 def marginal_entropy_b(s: XState, base: LogBase = LogBase.BITS) -> float:
-    """Shannon entropy of the subsystem-B marginal."""
-    p0, _ = marginal_b(s)
-    return binary_entropy(2.0 * p0 - 1.0, base)
+    """Shannon entropy of the subsystem-B marginal, whose Bloch vector
+    is (0, 0, A)."""
+    return binary_entropy(bloch_params(s).A, base)
 
 
 def marginal_entropy_a(s: XState, base: LogBase = LogBase.BITS) -> float:
-    """Shannon entropy of the subsystem-A marginal."""
-    p0, _ = marginal_a(s)
-    return binary_entropy(2.0 * p0 - 1.0, base)
+    """Shannon entropy of the subsystem-A marginal, whose Bloch vector
+    is (0, 0, B)."""
+    return binary_entropy(bloch_params(s).B, base)
 
 
 def mutual_information(s: XState, base: LogBase = LogBase.BITS) -> float:

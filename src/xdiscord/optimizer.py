@@ -4,7 +4,7 @@ Both searches are deterministic 1-D solves of one form (_solve_1d):
 repeated scans of n_global_samples points, the first over the whole
 interval, endpoints included, each later one over the two cells either
 side of the previous scan's best point, until the bracket is at most
-refine_tol or n_refine_iters scans have run. Interior optima exist, so
+REFINE_TOL or n_refine_iters scans have run. Interior optima exist, so
 the whole interval is scanned first.
 
 Projective case: an optimal axis lies in the plane of z and the
@@ -20,6 +20,10 @@ and orientations (kept in the tests as the reference) was never below
 it by more than 1e-12 on random states, on states where a POVM beats
 every projective measurement, and at the worst case of the
 Ali-Rau-Alber error.
+
+Either 3-element witness is a planar triangle that _plane_euler turns
+into the plane of the solves, its first direction on the mirror
+triangle's pole or on the projective axis.
 """
 
 from __future__ import annotations
@@ -46,23 +50,21 @@ PROJ_LO = TRIANGLE_MARGIN + 1e-12
 PROJ_HI = (1.0 - TRIANGLE_MARGIN) / 2.0 - 1e-12
 MIRROR_T_LO = PROJ_LO / (1.0 - PROJ_LO)
 MIRROR_T_HI = PROJ_HI / (1.0 - PROJ_HI)
+# bracket width at which a 1-D solve has converged
+REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets of the 1-D solves: points per scan (at least 4, so a scan
-    narrows its bracket), the cap on scan rounds, and the bracket
-    tolerance."""
+    narrows its bracket) and the cap on scan rounds."""
 
     n_global_samples: int = 2001
     n_refine_iters: int = 400
-    refine_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n_global_samples < 4 or self.n_refine_iters < 1:
             raise ValueError(f"counts too small in {self}")
-        if not self.refine_tol > 0.0:
-            raise ValueError(f"refine_tol must be positive, got {self.refine_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,17 @@ class OptResult:
 
     best_value is the minimum conditional entropy found; the witness is
     (best_weights, best_euler) for the 3-element case and
-    best_direction for the projective case. n_evals counts the
-    objective evaluations of the search's own 1-D solve, n_global_samples
-    per scan round, and converged reports whether the solve that
-    produced best_value narrowed its bracket to refine_tol.
+    best_direction for the projective case. base is the log base of
+    best_value. n_evals counts the objective evaluations of the
+    search's own 1-D solve, n_global_samples per scan round, and
+    converged reports whether the solve that produced best_value
+    narrowed its bracket to REFINE_TOL.
     """
 
     best_value: float
     n_evals: int
     converged: bool
+    base: LogBase
     best_weights: PovmWeights | None = None
     best_euler: EulerAngles | None = None
     best_direction: tuple[float, float, float] | None = None
@@ -90,7 +94,7 @@ def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig):
 
     Each round scans [lo, hi] at n_global_samples points, endpoints
     included, and narrows [lo, hi] to the two cells either side of the
-    round's best point, until hi - lo <= refine_tol or after
+    round's best point, until hi - lo <= REFINE_TOL or after
     n_refine_iters rounds. Returns (x, f(x), number of f evaluations,
     converged), x the best point over all rounds.
     """
@@ -103,9 +107,9 @@ def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig):
         if vals[i] < best_f:
             best_x, best_f = float(grid[i]), float(vals[i])
         lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n - 1)])
-        if hi - lo <= cfg.refine_tol:
+        if hi - lo <= REFINE_TOL:
             break
-    return best_x, best_f, rounds * n, hi - lo <= cfg.refine_tol
+    return best_x, best_f, rounds * n, hi - lo <= REFINE_TOL
 
 
 def minimize_projective(
@@ -113,7 +117,7 @@ def minimize_projective(
 ) -> OptResult:
     """Minimum projective conditional entropy over the unit sphere.
 
-    Exact up to refine_tol: the optimal axis lies in the plane of
+    Exact up to REFINE_TOL: the optimal axis lies in the plane of
     conditional_entropy_plane, whose z-component nz is solved over
     [0, 1]; both endpoints, the ali_candidate axes, are scanned. The
     direction returned lies in the xz or the yz plane.
@@ -125,6 +129,7 @@ def minimize_projective(
         best_value=value,
         n_evals=n_evals,
         converged=converged,
+        base=base,
         best_direction=plane_direction(s, nz),
     )
 
@@ -136,21 +141,14 @@ def _mirror_t(t):
     return np.copysign(np.maximum(np.abs(t), MIRROR_T_LO), t)
 
 
-def _mirror_euler(s: XState, pole: float) -> EulerAngles:
-    """Orientation taking the first direction of the planar triangle to
-    the pole (0, 0, pole) and the other two into the plane of
-    plane_direction."""
-    if plane_direction(s, 0.0)[1] == 0.0:  # the xz plane
-        return EulerAngles(0.0, pole * math.pi / 2.0, math.pi / 2.0)
-    return EulerAngles(-pole * math.pi / 2.0, 0.0, 0.0)
-
-
-def _euler_towards(n) -> EulerAngles:
-    """Orientation taking the first direction of the planar triangle to n."""
+def _plane_euler(s: XState, n) -> EulerAngles:
+    """Orientation taking the planar triangle into the plane of
+    plane_direction, its first direction to the unit vector n of that
+    plane."""
     nx, ny, nz = n
-    snorm = math.hypot(ny, nz)
-    theta = math.atan2(nz, ny) if snorm > 0.0 else 0.0
-    return EulerAngles(0.0, theta, math.atan2(snorm, nx))
+    if plane_direction(s, 0.0)[1] == 0.0:  # the xz plane
+        return EulerAngles(0.0, math.pi / 2.0, math.atan2(nz, nx))
+    return EulerAngles(-math.pi / 2.0, 0.0, math.atan2(ny, nz))
 
 
 def minimize_povm3(
@@ -164,7 +162,8 @@ def minimize_povm3(
     The better of the mirror-triangle solve over t in
     [-MIRROR_T_HI, MIRROR_T_HI] and proj, which must be
     minimize_projective(s, cfg, base) and is solved here when omitted;
-    proj wins ties. A proj without best_direction raises ValueError.
+    proj wins ties. A proj without best_direction or of another base
+    raises ValueError.
     The witness rebuilds through povm.build_povm3: the mirror triangle
     itself, or, when proj wins, the (PROJ_HI, PROJ_HI, 1 - 2 PROJ_HI)
     triple with its first direction on proj's axis, whose value is
@@ -172,8 +171,8 @@ def minimize_povm3(
     """
     if proj is None:
         proj = minimize_projective(s, cfg, base)
-    elif proj.best_direction is None:
-        raise ValueError("proj has no best_direction: pass minimize_projective(s, cfg, base)")
+    elif proj.best_direction is None or proj.base is not base:
+        raise ValueError(f"proj must be minimize_projective(s, cfg, base) in {base.value}")
     t, value, n_evals, converged = _solve_1d(
         lambda t: conditional_entropy_mirror(s, _mirror_t(t), base),
         -MIRROR_T_HI, MIRROR_T_HI, cfg,
@@ -182,15 +181,16 @@ def minimize_povm3(
         t = float(_mirror_t(t))
         mu1, mu2 = mirror_weights(t)
         weights = PovmWeights(mu1, mu2, mu2)
-        euler = _mirror_euler(s, math.copysign(1.0, t))
+        n = (0.0, 0.0, math.copysign(1.0, t))
     else:
         value, converged = proj.best_value, proj.converged
         weights = PovmWeights(PROJ_HI, PROJ_HI, 1.0 - 2.0 * PROJ_HI)
-        euler = _euler_towards(proj.best_direction)
+        n = proj.best_direction
     return OptResult(
         best_value=value,
         n_evals=n_evals,
         converged=converged,
+        base=base,
         best_weights=weights,
-        best_euler=euler,
+        best_euler=_plane_euler(s, n),
     )

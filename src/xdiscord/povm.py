@@ -108,11 +108,11 @@ class Povm3:
         if dirs.shape != (3, 3):
             raise ValueError(f"dirs must be 3x3, got {dirs.shape}")
         norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):  # NaN fails too
             raise ValueError(f"direction norms {norms} deviate from 1")
         mus = self.weights.as_array()
         closure = mus @ dirs
-        if np.linalg.norm(closure) > COMPLETENESS_TOL:
+        if not np.linalg.norm(closure) <= COMPLETENESS_TOL:  # NaN fails too
             raise ValueError(f"completeness sum mu_k m_k = {closure}, expected 0")
         dirs.setflags(write=False)
         object.__setattr__(self, "dirs", dirs)

@@ -1,4 +1,4 @@
-"""Two-qubit X states: validation, Bloch parameters, matrix form.
+"""Two-qubit X states: validation, Bloch parameters, eigenvalues.
 
 An X state has nonzero entries only on the main diagonal and the
 anti-diagonal of its 4x4 density matrix,
@@ -9,7 +9,9 @@ anti-diagonal of its 4x4 density matrix,
      [eps, 0, 0, d]]
 
 with all entries real. Positivity is equivalent to the two block
-conditions a*d >= eps**2 and b*c >= delta**2.
+conditions a*d >= eps**2 and b*c >= delta**2. The marginals are
+diagonal, so the Bloch parameters A and B (the z-components of the B
+and A marginals) are all that the marginal entropies need.
 """
 
 from __future__ import annotations
@@ -118,25 +120,6 @@ def bloch_params(s: XState) -> BlochParams:
         t2=2.0 * (s.delta - s.eps),
         t3=s.a - s.b - s.c + s.d,
     )
-
-
-def to_matrix(s: XState) -> np.ndarray:
-    """Dense 4x4 complex density matrix in the computational basis."""
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = s.a, s.b, s.c, s.d
-    rho[0, 3] = rho[3, 0] = s.eps
-    rho[1, 2] = rho[2, 1] = s.delta
-    return rho
-
-
-def marginal_b(s: XState):
-    """Computational-basis populations (p0, p1) of subsystem B."""
-    return s.a + s.c, s.b + s.d
-
-
-def marginal_a(s: XState):
-    """Computational-basis populations (p0, p1) of subsystem A."""
-    return s.a + s.b, s.c + s.d
 
 
 def eigenvalues(s: XState) -> np.ndarray:

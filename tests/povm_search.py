@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from xdiscord.entropy import LogBase, _plogp
-from xdiscord.optimizer import PROJ_HI, PROJ_LO, OptResult, SearchConfig, minimize_projective
+from xdiscord.optimizer import (
+    PROJ_HI,
+    PROJ_LO,
+    REFINE_TOL,
+    OptResult,
+    SearchConfig,
+    minimize_projective,
+)
 from xdiscord.povm import TRIANGLE_MARGIN, EulerAngles, PovmWeights, tan2_half_angle
 from xdiscord.qstate import XState, bloch_params
 
@@ -222,7 +229,7 @@ def _pattern_search(f, x0, steps0, cfg, weights=False, incumbent=math.inf):
     for _ in range(RESET_ROUNDS):
         steps = list(steps0)
         sweeps = 0
-        while max(steps) > cfg.refine_tol and sweeps < cfg.n_refine_iters:
+        while max(steps) > REFINE_TOL and sweeps < cfg.n_refine_iters:
             x_start = x
             for i in range(len(x)):
                 for sgn in (1.0, -1.0):
@@ -249,7 +256,7 @@ def _pattern_search(f, x0, steps0, cfg, weights=False, incumbent=math.inf):
                     x, fx, bar = trial, ft, _improvement_bar(ft)
                     d = [2.0 * b for b in d]
             sweeps += 1
-        converged = max(steps) <= cfg.refine_tol
+        converged = max(steps) <= REFINE_TOL
         if fx > incumbent:
             break
     return x, fx, converged, n_evals
@@ -302,11 +309,11 @@ def search_povm3(
     """Minimum 3-element POVM conditional entropy.
 
     Monte-Carlo over n_samples (weights, Euler angles) drawn from seed,
-    then pattern-search refinement (budget and tolerance from cfg) of
-    the best candidates plus a near-projective start seeded from proj,
-    the result of minimize_projective(s, cfg, base); it is solved here
-    when omitted, with bit-identical results. Deterministic for fixed
-    arguments.
+    then pattern-search refinement (budget from cfg, tolerance
+    REFINE_TOL) of the best candidates plus a near-projective start
+    seeded from proj, the result of minimize_projective(s, cfg, base);
+    it is solved here when omitted, with bit-identical results.
+    Deterministic for fixed arguments.
     """
     if proj is None:
         proj = minimize_projective(s, cfg, base)
@@ -343,6 +350,7 @@ def search_povm3(
         best_value=best_f,
         n_evals=n_evals,
         converged=best_conv,
+        base=base,
         best_weights=weights,
         best_euler=euler,
     )

@@ -2,20 +2,21 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import BENCH_ENTRIES, MIXED_ENTRIES
-from oracles import ce_povm_oracle, dense_xmatrix
+from oracles import ce_povm_oracle, dense_xmatrix, random_xstate_entries
 from xdiscord.cli import (
     CSV_COLUMNS,
     DiscordReport,
     load_benchmarks,
     main,
-    parse_report_json,
     parse_state_file,
     render_csv,
     render_json,
@@ -151,6 +152,22 @@ class TestRunReport:
         assert abs(nats.delta3_min - bits.delta3_min * math.log(2.0)) <= 1e-4
         assert abs(nats.delta2_min - bits.delta2_min * math.log(2.0)) <= 1e-4
 
+    def test_nats_is_bits_times_ln2(self):
+        # one solve in bits: the witness columns are the same in both
+        # bases, and each discord value or gap is the bits one times ln 2
+        rng = np.random.default_rng(43)
+        states = [(name, xstate_from_entries(*e)) for name, e in BENCH_ENTRIES.items()]
+        states += [(f"r{i}", xstate_from_entries(*random_xstate_entries(rng))) for i in range(8)]
+        bits = run_report(states, QUICK, LogBase.BITS).results
+        nats = run_report(states, QUICK, LogBase.NATS).results
+        values = ("delta3_min", "delta2_min", "delta2", "diff3", "diff2")
+        for rb, rn in zip(bits, nats):
+            for name in CSV_COLUMNS[:-1]:
+                b, n = getattr(rb, name), getattr(rn, name)
+                if name in values:
+                    assert abs(n - b * math.log(2.0)) <= math.ulp(n), (rb.name, name)
+                else:
+                    assert n == b, (rb.name, name)
 
     def test_zero_probability_states_keep_delta3_nonnegative(self):
         # A = 1, A = -1 and a product state: an outcome of probability 0
@@ -214,8 +231,8 @@ class TestRenderers:
 
     def test_json_round_trip_exact(self):
         rep = mixed_report()
-        back = parse_report_json(render_json(rep))
-        assert back == rep
+        payload = json.loads(render_json(rep))
+        assert payload["results"] == [asdict(r) for r in rep.results]
 
     def test_csv_floats_round_trip(self):
         rep = mixed_report()

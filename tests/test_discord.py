@@ -73,6 +73,13 @@ class TestEFunction:
         with pytest.raises(ValueError):
             e_function(mixed_state, (1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("m", [(0.0, 0.0, 0.0, 1.0), (0.0, 1.0), [[0.0, 0.0, 1.0]]])
+    def test_non_3_vector_rejected(self, bench_states, m):
+        # a unit 4-vector or a 1x3 row is not a direction
+        for f in (e_function, conditional_entropy_projective):
+            with pytest.raises(ValueError, match="3 components"):
+                f(bench_states["rho1"], m)
+
     def test_clamped_to_unit_interval(self, rng):
         for _ in range(500):
             s = xstate_from_entries(*random_xstate_entries(rng))

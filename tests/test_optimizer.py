@@ -41,10 +41,11 @@ from xdiscord.optimizer import (
     MIRROR_T_LO,
     PROJ_HI,
     PROJ_LO,
+    REFINE_TOL,
     OptResult,
     SearchConfig,
-    _mirror_euler,
     _mirror_t,
+    _plane_euler,
     minimize_povm3,
     minimize_projective,
 )
@@ -80,8 +81,6 @@ class TestSearchConfig:
             with pytest.raises(ValueError):
                 # the best point's two neighbouring cells span the whole scan
                 SearchConfig(n_global_samples=n)
-        with pytest.raises(ValueError):
-            SearchConfig(refine_tol=0.0)
 
 
 class TestKernels:
@@ -157,7 +156,7 @@ class TestKernels:
             for t, k in zip(ts, kernel):
                 mu1, mu2 = mirror_weights(t)
                 pole = math.copysign(1.0, t)
-                p = build_povm3(PovmWeights(mu1, mu2, mu2), _mirror_euler(s, pole))
+                p = build_povm3(PovmWeights(mu1, mu2, mu2), _plane_euler(s, (0.0, 0.0, pole)))
                 assert_allclose(p.dirs[0], (0.0, 0.0, pole), atol=1e-15)
                 public = conditional_entropy_povm3(s, p, LogBase.BITS)
                 assert_allclose(k, public, rtol=0.0, atol=1e-14)
@@ -348,6 +347,7 @@ class TestMinimizePovm3:
         for base in LogBase:
             own = minimize_povm3(s, CFG, base)
             passed = minimize_povm3(s, CFG, base, minimize_projective(s, CFG, base))
+            assert own.base is passed.base is base
             assert own.best_value == passed.best_value
             assert own.best_weights == passed.best_weights
             assert own.best_euler == passed.best_euler
@@ -359,6 +359,15 @@ class TestMinimizePovm3:
         wrong = minimize_povm3(s, CFG)
         with pytest.raises(ValueError, match="minimize_projective"):
             minimize_povm3(s, CFG, LogBase.BITS, wrong)
+
+    def test_proj_of_other_base_rejected(self, bench_states):
+        # rho1's projective value in nats is below its mirror value in
+        # bits, so a nats proj would win against the bits solve
+        s = bench_states["rho1"]
+        nats = minimize_projective(s, CFG, LogBase.NATS)
+        assert nats.base is LogBase.NATS
+        with pytest.raises(ValueError, match="bits"):
+            minimize_povm3(s, CFG, LogBase.BITS, nats)
 
     def test_refinement_monotone_vs_global_stage(self, bench_states):
         # replay the reference search's sampling stage: its refinement
@@ -379,6 +388,29 @@ class TestMinimizePovm3:
         assert_allclose(
             conditional_entropy_povm3(s, p, LogBase.BITS), res.best_value, atol=1e-9
         )
+
+    def test_witnesses_lie_in_the_solve_plane(self, bench_states, rng):
+        # mirror witnesses on both planes, from the advantage states and
+        # their eps-flipped partners, and projective ones from random states
+        states = [*bench_states.values()]
+        for s in [*advantage_states(3, seed=2), *(
+            xstate_from_entries(*random_xstate_entries(rng)) for _ in range(10)
+        )]:
+            states += [s, xstate_from_entries(s.a, s.b, s.c, s.d, -s.eps, s.delta)]
+        n_mirror = 0
+        for s in states:
+            proj = minimize_projective(s, CFG)
+            res = minimize_povm3(s, CFG, proj=proj)
+            p = build_povm3(res.best_weights, res.best_euler)
+            mirror = res.best_value < proj.best_value
+            n_mirror += mirror
+            pole = (0.0, 0.0, math.copysign(1.0, p.dirs[0, 2]))
+            assert_allclose(p.dirs[0], pole if mirror else proj.best_direction, atol=1e-12)
+            off_plane = 1 if plane_direction(s, 0.0)[1] == 0.0 else 0
+            assert np.abs(p.dirs[:, off_plane]).max() <= 1e-15
+            tol = 1e-14 if mirror else 1e-8
+            assert abs(conditional_entropy_povm3(s, p) - res.best_value) <= tol
+        assert n_mirror >= 9
 
     def test_dominance_chain_on_benchmarks(self, bench_states):
         for s in bench_states.values():
@@ -463,7 +495,7 @@ def compass_search(f, x0, steps0, cfg, incumbent=math.inf):
     for _ in range(RESET_ROUNDS):
         steps = list(steps0)
         sweeps = 0
-        while max(steps) > cfg.refine_tol and sweeps < cfg.n_refine_iters:
+        while max(steps) > REFINE_TOL and sweeps < cfg.n_refine_iters:
             moved = False
             for i in range(len(x)):
                 for sgn in (1.0, -1.0):
@@ -479,7 +511,7 @@ def compass_search(f, x0, steps0, cfg, incumbent=math.inf):
             if not moved:
                 steps = [s / 2.0 for s in steps]
             sweeps += 1
-        converged = max(steps) <= cfg.refine_tol
+        converged = max(steps) <= REFINE_TOL
         if fx > incumbent:
             break
     return x, fx, converged, n_evals
@@ -599,7 +631,7 @@ class TestSolve1dProperties:
     def test_mirror_solve(self, entries):
         s = xstate_from_entries(*entries)
         # an incumbent that never wins leaves the mirror solve's own result
-        never = OptResult(math.inf, 0, False, best_direction=(0.0, 0.0, 1.0))
+        never = OptResult(math.inf, 0, False, LogBase.BITS, best_direction=(0.0, 0.0, 1.0))
         res = minimize_povm3(s, CFG, proj=never)
         t = np.linspace(-MIRROR_T_HI, MIRROR_T_HI, DENSE_POINTS)
         dense = conditional_entropy_mirror(s, _mirror_t(t)).min()

@@ -244,6 +244,14 @@ class TestPovm3Validation:
         with pytest.raises(ValueError):
             Povm3(weights=TRINE, dirs=dirs)
 
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_dirs_rejected(self, row):
+        # NaN compares false with every tolerance
+        dirs = planar_directions(angles_from_weights(TRINE))
+        dirs[row] = math.nan
+        with pytest.raises(ValueError, match="norms"):
+            Povm3(weights=TRINE, dirs=dirs)
+
     def test_dirs_read_only(self):
         p = build_povm3(TRINE, EulerAngles(0.0, 0.0, 0.0))
         with pytest.raises(ValueError):

@@ -5,15 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import BENCH_ENTRIES, MIXED_ENTRIES
-from oracles import dense_xmatrix, random_xstate_entries
+from oracles import dense_xmatrix, partial_trace_a, random_xstate_entries
 from xdiscord.errors import PositivityError, TraceError
-from xdiscord.qstate import (
-    bloch_params,
-    eigenvalues,
-    marginal_b,
-    to_matrix,
-    xstate_from_entries,
-)
+from xdiscord.qstate import bloch_params, eigenvalues, xstate_from_entries
 
 
 class TestXStateValidation:
@@ -95,38 +89,28 @@ class TestBlochParams:
             assert max(abs(v) for v in (bp.A, bp.B, bp.t1, bp.t2, bp.t3)) <= 1 + 1e-12
 
 
-class TestToMatrix:
-    def test_maximally_mixed(self, mixed_state):
-        assert_allclose(to_matrix(mixed_state), np.eye(4) / 4.0)
-
-    def test_benchmark_matrices_bit_for_bit(self, bench_states):
-        for name, entries in BENCH_ENTRIES.items():
-            got = to_matrix(bench_states[name])
-            assert np.array_equal(got, dense_xmatrix(*entries))
-
-    def test_x_sparsity_pattern(self, rng):
-        for _ in range(100):
-            m = to_matrix(xstate_from_entries(*random_xstate_entries(rng)))
-            off = m.copy()
-            off[range(4), range(4)] = 0.0
-            off[0, 3] = off[3, 0] = off[1, 2] = off[2, 1] = 0.0
-            assert np.count_nonzero(off) == 0
+def populations_b(s):
+    """Populations (p0, p1) of subsystem B from its Bloch z-component A."""
+    A = bloch_params(s).A
+    return (1.0 + A) / 2.0, (1.0 - A) / 2.0
 
 
 class TestMarginalB:
     def test_maximally_mixed(self, mixed_state):
-        assert marginal_b(mixed_state) == (0.5, 0.5)
+        assert populations_b(mixed_state) == (0.5, 0.5)
 
     def test_rho1(self, bench_states):
-        assert_allclose(marginal_b(bench_states["rho1"]), (0.054507, 0.945493), atol=1e-12)
+        assert_allclose(populations_b(bench_states["rho1"]), (0.054507, 0.945493), atol=1e-12)
 
     def test_rho3(self, bench_states):
-        assert_allclose(marginal_b(bench_states["rho3"]), (0.2033, 0.7967), atol=1e-12)
+        assert_allclose(populations_b(bench_states["rho3"]), (0.2033, 0.7967), atol=1e-12)
 
-    def test_sums_to_one(self, rng):
+    def test_matches_partial_trace(self, rng):
         for _ in range(200):
-            p0, p1 = marginal_b(xstate_from_entries(*random_xstate_entries(rng)))
-            assert_allclose(p0 + p1, 1.0, atol=1e-14)
+            s = xstate_from_entries(*random_xstate_entries(rng))
+            rho_b = partial_trace_a(dense_xmatrix(s.a, s.b, s.c, s.d, s.eps, s.delta))
+            assert_allclose(np.diag(rho_b).real, populations_b(s), rtol=0.0, atol=1e-15)
+            assert_allclose(rho_b[0, 1], 0.0, atol=0.0)
 
 
 class TestEigenvalues:
@@ -134,7 +118,7 @@ class TestEigenvalues:
         for _ in range(2000):
             s = xstate_from_entries(*random_xstate_entries(rng))
             ours = np.sort(eigenvalues(s))
-            dense = np.sort(np.linalg.eigvalsh(to_matrix(s)))
+            dense = np.sort(np.linalg.eigvalsh(dense_xmatrix(s.a, s.b, s.c, s.d, s.eps, s.delta)))
             assert_allclose(ours, dense, atol=1e-12)
 
     def test_nonnegative_and_normalized(self, rng):
