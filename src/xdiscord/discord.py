@@ -14,7 +14,11 @@ Projective measurements reduce to one variable (conditional_entropy_plane),
 whose endpoints give delta2: the better of the z axis and the larger
 transverse axis, as in Ali-Rau-Alber (ali_candidate). The 3-element
 search runs over one variable too, the mirror-symmetric triangle of
-conditional_entropy_mirror. conditional_entropy_projective and
+conditional_entropy_mirror. Both read G(z), the term of the direction
+with z-component z in the plane of the two (_plane_kernel); a solve
+builds each once (_plane_objective, _mirror_objective), with the
+state's constants and the pole terms G(+-1) fixed there, so a call is
+one kernel call. conditional_entropy_projective and
 conditional_entropy_povm3 take general directions.
 """
 
@@ -26,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .entropy import LogBase, binary_entropy, marginal_entropy_b, von_neumann_xstate
+from .entropy import LogBase, _h, _scale, marginal_entropy_b, von_neumann_xstate
 from .errors import ZeroProbabilityError
 from .povm import Povm3
 from .qstate import XState, bloch_params
@@ -51,15 +55,15 @@ def _bloch_length(bp, tt, mz):
     vectorized; live marks the outcomes that occur, 1 + A mz > PROB_FLOOR."""
     den = 1.0 + bp.A * mz
     live = den > PROB_FLOOR
-    e = np.sqrt(tt + (bp.t3 * mz + bp.B) ** 2) / np.where(live, den, 1.0)
-    return den, live, np.clip(e, 0.0, 1.0)
+    e = np.sqrt(tt + (bp.t3 * mz + bp.B) ** 2) / np.maximum(den, PROB_FLOOR)
+    return den, live, np.minimum(e, 1.0)  # e >= 0 already
 
 
-def _outcome_term(bp, tt, mz, base: LogBase):
-    """Per-outcome term (1 + A mz) h(E) of _bloch_length's directions;
-    0 for an outcome that never occurs."""
+def _outcome_term(bp, tt, mz, scale: float):
+    """Per-outcome term (1 + A mz) h(E) of _bloch_length's directions,
+    h times scale (entropy._scale); 0 for an outcome that never occurs."""
     den, live, e = _bloch_length(bp, tt, mz)
-    return np.where(live, den * binary_entropy(e, base), 0.0)
+    return np.where(live, den * _h(e, scale), 0.0)
 
 
 def _transverse(bp, dirs):
@@ -94,7 +98,7 @@ def e_function(s: XState, m) -> float:
 def conditional_entropy_povm3(s: XState, p: Povm3, base: LogBase = LogBase.BITS) -> float:
     """Average post-measurement entropy sum_k p_k h(E_k) for a 3-element POVM."""
     bp = bloch_params(s)
-    terms = _outcome_term(bp, _transverse(bp, p.dirs), p.dirs[:, 2], base)
+    terms = _outcome_term(bp, _transverse(bp, p.dirs), p.dirs[:, 2], _scale(base))
     return float(p.weights.as_array() @ terms)
 
 
@@ -102,7 +106,7 @@ def conditional_entropy_projective(s: XState, n, base: LogBase = LogBase.BITS) -
     """Two-outcome specialization: antipodal directions n and -n, weights 1/2."""
     n = _check_unit(n)
     bp = bloch_params(s)
-    terms = _outcome_term(bp, _transverse(bp, n), np.array([n[2], -n[2]]), base)
+    terms = _outcome_term(bp, _transverse(bp, n), np.array([n[2], -n[2]]), _scale(base))
     return 0.5 * float(terms.sum())
 
 
@@ -124,11 +128,24 @@ def plane_direction(s: XState, nz: float) -> tuple[float, float, float]:
     return (st, 0.0, nz) if abs(bp.t1) >= abs(bp.t2) else (0.0, st, nz)
 
 
-def _plane_term(bp, mz, base: LogBase):
-    """_outcome_term of the unit direction with z-component mz in the
-    plane of plane_direction, vectorized over mz."""
-    tt = max(bp.t1 * bp.t1, bp.t2 * bp.t2) * (1.0 - mz * mz)
-    return _outcome_term(bp, tt, mz, base)
+def _plane_kernel(s: XState, base: LogBase):
+    """G(z): _outcome_term of the direction with z-component z in the
+    plane of plane_direction, vectorized over z."""
+    bp = bloch_params(s)
+    tmax, scale = max(bp.t1 * bp.t1, bp.t2 * bp.t2), _scale(base)
+    return lambda mz: _outcome_term(bp, tmax * (1.0 - mz * mz), mz, scale)
+
+
+def _plane_objective(s: XState, base: LogBase):
+    """conditional_entropy_plane(s, ., base): G at +-nz in one call."""
+    g = _plane_kernel(s, base)
+
+    def f(nz):
+        nz = np.asarray(nz, dtype=float)
+        up, down = g(np.concatenate((nz, -nz), axis=None)).reshape((2, *nz.shape))
+        return 0.5 * up + 0.5 * down
+
+    return f
 
 
 def conditional_entropy_plane(s: XState, nz, base: LogBase = LogBase.BITS):
@@ -139,9 +156,7 @@ def conditional_entropy_plane(s: XState, nz, base: LogBase = LogBase.BITS):
     the transverse axis with the larger |t|; this is the exact 1-D
     reduction the projective search runs over nz in [0, 1].
     """
-    bp = bloch_params(s)
-    nz = np.asarray(nz, dtype=float)
-    return 0.5 * _plane_term(bp, nz, base) + 0.5 * _plane_term(bp, -nz, base)
+    return _plane_objective(s, base)(nz)
 
 
 def mirror_weights(t):
@@ -149,6 +164,20 @@ def mirror_weights(t):
     the triangle of conditional_entropy_mirror at t."""
     mu2 = 0.5 / (1.0 + abs(t))
     return 1.0 - 2.0 * mu2, mu2
+
+
+def _mirror_objective(s: XState, base: LogBase):
+    """conditional_entropy_mirror(s, ., base): G(+-1) once, G at -t per call."""
+    g = _plane_kernel(s, base)
+    south, north = g(np.array([-1.0, 1.0]))
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        mu1, mu2 = mirror_weights(t)
+        # the pole is on the side of t; at t = 0, mu1 = 0
+        return mu1 * np.where(t < 0.0, south, north) + 2.0 * mu2 * g(-t)
+
+    return f
 
 
 def conditional_entropy_mirror(s: XState, t, base: LogBase = LogBase.BITS):
@@ -161,10 +190,7 @@ def conditional_entropy_mirror(s: XState, t, base: LogBase = LogBase.BITS):
     meet at t = 0, the transverse-axis measurement, and each ends at
     the z-axis measurement.
     """
-    bp = bloch_params(s)
-    t = np.asarray(t, dtype=float)
-    mu1, mu2 = mirror_weights(t)
-    return mu1 * _plane_term(bp, np.sign(t), base) + 2.0 * mu2 * _plane_term(bp, -t, base)
+    return _mirror_objective(s, base)(t)
 
 
 def ali_candidate(s: XState, base: LogBase = LogBase.BITS) -> DiscordValue:

@@ -27,12 +27,20 @@ def _scale(base: LogBase) -> float:
     return 1.0 / math.log(2.0) if base is LogBase.BITS else 1.0
 
 
-def _plogp(p: np.ndarray) -> np.ndarray:
-    # 0*log(0) = 0 by branch, not epsilon-shift
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = p[mask] * np.log(p[mask])
-    return out
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _xlogx(q):
+    """q log q for q >= 0, with 0 log 0 = 0: the log is taken at
+    max(q, smallest positive double), which leaves every q > 0 as it is
+    and needs no mask."""
+    return q * np.log(np.maximum(q, _TINY))
+
+
+def _h(x, scale: float):
+    """Binary entropy of {(1+x)/2, (1-x)/2} times scale, unchecked:
+    x must lie in [-1, 1]."""
+    return (_xlogx((1.0 + x) / 2.0) + _xlogx((1.0 - x) / 2.0)) * -scale
 
 
 def binary_entropy(x, base: LogBase = LogBase.BITS):
@@ -44,22 +52,16 @@ def binary_entropy(x, base: LogBase = LogBase.BITS):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) <= 1.0 + X_DOMAIN_TOL):  # NaN fails too
         raise DomainError(f"binary_entropy argument out of [-1, 1]: {x!r}")
-    arr = np.clip(arr, -1.0, 1.0)
-    h = -(_plogp((1.0 + arr) / 2.0) + _plogp((1.0 - arr) / 2.0)) * _scale(base)
+    h = _h(np.clip(arr, -1.0, 1.0), _scale(base))
     return float(h) if np.isscalar(x) or np.ndim(x) == 0 else h
-
-
-def _entropy_of_probs(lams: np.ndarray, base: LogBase) -> float:
-    lams = np.asarray(lams, dtype=float)
-    if np.any(lams < EIG_CLAMP):
-        raise RuntimeError(f"eigenvalue below clamp tolerance: {lams.min()!r}")
-    lams = np.clip(lams, 0.0, None)
-    return -float(_plogp(lams).sum()) * _scale(base)
 
 
 def von_neumann_xstate(s: XState, base: LogBase = LogBase.BITS) -> float:
     """Von Neumann entropy of an X state, from the block eigenvalues."""
-    return _entropy_of_probs(eigenvalues(s), base)
+    lams = eigenvalues(s)
+    if np.any(lams < EIG_CLAMP):
+        raise RuntimeError(f"eigenvalue below clamp tolerance: {lams.min()!r}")
+    return -float(_xlogx(np.clip(lams, 0.0, None)).sum()) * _scale(base)
 
 
 def marginal_entropy_b(s: XState, base: LogBase = LogBase.BITS) -> float:
@@ -68,16 +70,8 @@ def marginal_entropy_b(s: XState, base: LogBase = LogBase.BITS) -> float:
     return binary_entropy(bloch_params(s).A, base)
 
 
-def marginal_entropy_a(s: XState, base: LogBase = LogBase.BITS) -> float:
-    """Shannon entropy of the subsystem-A marginal, whose Bloch vector
-    is (0, 0, B)."""
-    return binary_entropy(bloch_params(s).B, base)
-
-
 def mutual_information(s: XState, base: LogBase = LogBase.BITS) -> float:
-    """S(rho_A) + S(rho_B) - S(rho_AB)."""
-    return (
-        marginal_entropy_a(s, base)
-        + marginal_entropy_b(s, base)
-        - von_neumann_xstate(s, base)
-    )
+    """S(rho_A) + S(rho_B) - S(rho_AB); the A marginal's Bloch vector is
+    (0, 0, B)."""
+    s_a = binary_entropy(bloch_params(s).B, base)
+    return s_a + marginal_entropy_b(s, base) - von_neumann_xstate(s, base)

@@ -5,7 +5,9 @@ repeated scans of n_global_samples points, the first over the whole
 interval, endpoints included, each later one over the two cells either
 side of the previous scan's best point, until the bracket is at most
 REFINE_TOL or n_refine_iters scans have run. Interior optima exist, so
-the whole interval is scanned first.
+the whole interval is scanned first. A solve builds its objective once
+(discord._plane_objective, _mirror_objective), so each scan is one
+kernel call.
 
 Projective case: an optimal axis lies in the plane of z and the
 transverse axis with the larger |t|, so the solve runs over the axis's
@@ -33,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import (
-    conditional_entropy_mirror,
-    conditional_entropy_plane,
-    mirror_weights,
-    plane_direction,
-)
+from .discord import _mirror_objective, _plane_objective, mirror_weights, plane_direction
 from .entropy import LogBase
 from .povm import TRIANGLE_MARGIN, EulerAngles, PovmWeights
 from .qstate import XState
@@ -90,14 +87,9 @@ class OptResult:
 
 
 def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig):
-    """Minimize the vectorized f over [lo, hi] by repeated scans.
-
-    Each round scans [lo, hi] at n_global_samples points, endpoints
-    included, and narrows [lo, hi] to the two cells either side of the
-    round's best point, until hi - lo <= REFINE_TOL or after
-    n_refine_iters rounds. Returns (x, f(x), number of f evaluations,
-    converged), x the best point over all rounds.
-    """
+    """Minimize the vectorized f over [lo, hi] by the repeated scans of
+    the module docstring. Returns (x, f(x), number of f evaluations,
+    converged), x the best point over all rounds."""
     n = cfg.n_global_samples
     best_x, best_f = lo, math.inf
     for rounds in range(1, cfg.n_refine_iters + 1):
@@ -122,9 +114,7 @@ def minimize_projective(
     [0, 1]; both endpoints, the ali_candidate axes, are scanned. The
     direction returned lies in the xz or the yz plane.
     """
-    nz, value, n_evals, converged = _solve_1d(
-        lambda nz: conditional_entropy_plane(s, nz, base), 0.0, 1.0, cfg
-    )
+    nz, value, n_evals, converged = _solve_1d(_plane_objective(s, base), 0.0, 1.0, cfg)
     return OptResult(
         best_value=value,
         n_evals=n_evals,
@@ -173,9 +163,9 @@ def minimize_povm3(
         proj = minimize_projective(s, cfg, base)
     elif proj.best_direction is None or proj.base is not base:
         raise ValueError(f"proj must be minimize_projective(s, cfg, base) in {base.value}")
+    mirror = _mirror_objective(s, base)
     t, value, n_evals, converged = _solve_1d(
-        lambda t: conditional_entropy_mirror(s, _mirror_t(t), base),
-        -MIRROR_T_HI, MIRROR_T_HI, cfg,
+        lambda t: mirror(_mirror_t(t)), -MIRROR_T_HI, MIRROR_T_HI, cfg
     )
     if value < proj.best_value:
         t = float(_mirror_t(t))

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from xdiscord.optimizer import PROJ_HI
 from xdiscord.qstate import xstate_from_entries
@@ -60,3 +63,39 @@ def bell_state():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def positive_xstates(draw):
+    """Entries of a positive X state: a normalized diagonal and coherences
+    strictly inside the block-positivity disks."""
+    diag = draw(st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=4))
+    a, b, c, d = (x / sum(diag) for x in diag)
+    u, v = draw(st.lists(st.floats(-0.999, 0.999), min_size=2, max_size=2))
+    return a, b, c, d, u * math.sqrt(a * d), v * math.sqrt(b * c)
+
+
+unit = st.floats(0.0, 1.0)
+sign = st.sampled_from((-1.0, 1.0))
+
+
+@st.composite
+def edge_xstates(draw):
+    """Entries of an X state at an edge of the state set: A = +-1, pure,
+    product, or on the positivity boundary eps^2 = ad, delta^2 = bc."""
+    kind = draw(st.sampled_from(("a_plus1", "a_minus1", "pure", "product", "boundary")))
+    p, q = draw(unit), draw(unit)
+    if kind == "a_plus1":
+        return p, 0.0, 1.0 - p, 0.0, 0.0, 0.0
+    if kind == "a_minus1":
+        return 0.0, p, 0.0, 1.0 - p, 0.0, 0.0
+    if kind == "pure":
+        coh = draw(sign) * math.sqrt(p * (1.0 - p))
+        if draw(st.booleans()):
+            return p, 0.0, 0.0, 1.0 - p, coh, 0.0
+        return 0.0, p, 1.0 - p, 0.0, 0.0, coh
+    if kind == "product":
+        return p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q), 0.0, 0.0
+    diag = draw(st.lists(unit, min_size=4, max_size=4).filter(lambda x: sum(x) > 0.0))
+    a, b, c, d = (x / sum(diag) for x in diag)
+    return a, b, c, d, draw(sign) * math.sqrt(a * d), draw(sign) * math.sqrt(b * c)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xdiscord.entropy import LogBase, _plogp
+from xdiscord.entropy import LogBase
 from xdiscord.optimizer import (
     PROJ_HI,
     PROJ_LO,
@@ -78,6 +78,15 @@ class PhiAuditReport:
 
 def _scale(base: LogBase) -> float:
     return 1.0 / LN2 if base is LogBase.BITS else 1.0
+
+
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """p log p with 0 log 0 = 0 by a mask, kept apart from the
+    package's mask-free rule."""
+    out = np.zeros_like(p)
+    mask = p > 0.0
+    out[mask] = p[mask] * np.log(p[mask])
+    return out
 
 
 def _ce_raw(bpt, m1, m2, m3, psi, theta, phi, scale):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import BENCH_ENTRIES, MIXED_ENTRIES
+from conftest import BENCH_ENTRIES, MIXED_ENTRIES, edge_xstates, positive_xstates
 from oracles import ce_povm_oracle, dense_xmatrix, random_xstate_entries
 from xdiscord.cli import (
     CSV_COLUMNS,
@@ -319,32 +319,6 @@ def test_report_equality_and_types():
         assert isinstance(getattr(r, field), float)
 
 
-unit = st.floats(0.0, 1.0)
-sign = st.sampled_from((-1.0, 1.0))
-
-
-@st.composite
-def edge_xstates(draw):
-    """Entries of an X state at an edge of the state set: A = +-1, pure,
-    product, or on the positivity boundary eps^2 = ad, delta^2 = bc."""
-    kind = draw(st.sampled_from(("a_plus1", "a_minus1", "pure", "product", "boundary")))
-    p, q = draw(unit), draw(unit)
-    if kind == "a_plus1":
-        return p, 0.0, 1.0 - p, 0.0, 0.0, 0.0
-    if kind == "a_minus1":
-        return 0.0, p, 0.0, 1.0 - p, 0.0, 0.0
-    if kind == "pure":
-        coh = draw(sign) * math.sqrt(p * (1.0 - p))
-        if draw(st.booleans()):
-            return p, 0.0, 0.0, 1.0 - p, coh, 0.0
-        return 0.0, p, 1.0 - p, 0.0, 0.0, coh
-    if kind == "product":
-        return p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q), 0.0, 0.0
-    diag = draw(st.lists(unit, min_size=4, max_size=4).filter(lambda x: sum(x) > 0.0))
-    a, b, c, d = (x / sum(diag) for x in diag)
-    return a, b, c, d, draw(sign) * math.sqrt(a * d), draw(sign) * math.sqrt(b * c)
-
-
 PACKAGE_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type))
 
 
@@ -365,3 +339,17 @@ def test_edge_states_valid_or_typed_error(entries):
     rho4 = dense_xmatrix(s.a, s.b, s.c, s.d, s.eps, s.delta)
     ce = ce_povm_oracle(rho4, p.weights.as_array(), p.dirs)
     assert abs(discord_given_conditional_entropy(s, ce, None).value - r.delta3_min) <= 1e-8
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.one_of(positive_xstates(), edge_xstates()))
+def test_discords_invariant_under_local_x(entries):
+    # X on qubit A maps the entries to (c, d, a, b, delta, eps), X on
+    # qubit B to (b, a, d, c, delta, eps); local unitaries move no discord
+    a, b, c, d, eps, delta = entries
+    images = {"x_on_a": (c, d, a, b, delta, eps), "x_on_b": (b, a, d, c, delta, eps)}
+    states = [(name, xstate_from_entries(*e)) for name, e in {"id": entries, **images}.items()]
+    r, *moved = run_report(states, SearchConfig(), LogBase.BITS).results
+    for m in moved:
+        for field in ("delta3_min", "delta2_min", "delta2"):
+            assert abs(getattr(m, field) - getattr(r, field)) <= 1e-12, (m.name, field)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from povm_search import _plogp, _scale
 from oracles import (
     dense_xmatrix,
     entropy_of_matrix,
@@ -65,6 +66,26 @@ class TestBinaryEntropy:
         h = binary_entropy(x, LogBase.BITS)
         assert np.all((h >= 0.0) & (h <= 1.0))
 
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_bitwise_equal_to_masked_formula(self, base):
+        # the reference search's mask-based 0 log 0, at the ends, at
+        # both zeros, one ulp inside each end and the smallest subnormal
+        ends = [1.0, -1.0, 0.0, -0.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 5e-324]
+        x = np.concatenate([ends, np.linspace(-1.0, 1.0, 20001)])
+        masked = -(_plogp((1.0 + x) / 2.0) + _plogp((1.0 - x) / 2.0)) * _scale(base)
+        assert binary_entropy(x, base).tobytes() == masked.tobytes()
+
+    @pytest.mark.parametrize("x", [0.5, -1.0, 0, np.float64(0.25), np.array(0.5), np.array(-1.0)])
+    def test_scalar_and_0d_return_float(self, x):
+        assert type(binary_entropy(x)) is float
+
+    @pytest.mark.parametrize(
+        "x", [1.0 + 2e-9, -1.0 - 2e-9, math.inf, -math.inf, np.array([0.0, -1.0 - 2e-9])]
+    )
+    def test_beyond_tolerance_rejected(self, x):
+        with pytest.raises(DomainError):
+            binary_entropy(x, LogBase.BITS)
+
 
 class TestVonNeumannXstate:
     def test_maximally_mixed(self, mixed_state):
@@ -72,6 +93,23 @@ class TestVonNeumannXstate:
 
     def test_pure_bell(self, bell_state):
         assert_allclose(von_neumann_xstate(bell_state, LogBase.BITS), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+            (0.5, 0.0, 0.0, 0.5, 0.5, 0.0),
+            (0.5, 0.0, 0.0, 0.5, -0.5, 0.0),
+            (0.0, 0.5, 0.5, 0.0, 0.0, 0.5),
+            (0.0, 0.5, 0.5, 0.0, 0.0, -0.5),
+        ],
+    )
+    @pytest.mark.parametrize("base", list(LogBase))
+    def test_pure_and_product_states_exactly_zero(self, entries, base):
+        assert von_neumann_xstate(xstate_from_entries(*entries), base) == 0.0
 
     def test_rho1_matches_dense_oracle(self, bench_states):
         s = bench_states["rho1"]

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import EDGE_WEIGHTS, WORST_ENTRIES
+from conftest import EDGE_WEIGHTS, WORST_ENTRIES, edge_xstates, positive_xstates
 from oracles import ce_povm_oracle, dense_xmatrix, random_unit_vector, random_xstate_entries
 from povm_search import (
     IMPROVE_EPS,
@@ -168,6 +168,25 @@ class TestKernels:
             assert_allclose(mirror, plane, rtol=0.0, atol=1e-15)
 
 
+class TestObjectiveSeams:
+    """The mirror objective meets the plane one exactly, with ==: at
+    t = +-0 it is the transverse-axis measurement, at t = +-1 the z
+    axis, whichever pole side the sign of t picks."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(positive_xstates(), edge_xstates()))
+    @example((0.5, 0.0, 0.5, 0.0, 0.0, 0.0))  # A = 1
+    @example((0.0, 0.5, 0.0, 0.5, 0.0, 0.0))  # A = -1
+    @example((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))  # A = 1, pure
+    def test_mirror_meets_plane(self, entries):
+        s = xstate_from_entries(*entries)
+        for base in LogBase:
+            transverse = conditional_entropy_plane(s, 0.0, base)
+            z_axis = conditional_entropy_plane(s, 1.0, base)
+            for t, plane in ((0.0, transverse), (-0.0, transverse), (1.0, z_axis), (-1.0, z_axis)):
+                assert conditional_entropy_mirror(s, t, base) == plane, (t, base)
+
+
 class TestSampleWeightsBatch:
     def test_rows_admissible(self, rng):
         mus = _sample_weights_batch(rng, 5000)
@@ -274,16 +293,6 @@ class TestMinimizeProjective:
             res = minimize_projective(s, CFG)
             for n in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
                 assert res.best_value <= conditional_entropy_projective(s, n) + 1e-12
-
-
-@st.composite
-def positive_xstates(draw):
-    """Entries of a positive X state: a normalized diagonal and coherences
-    strictly inside the block-positivity disks."""
-    diag = draw(st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=4))
-    a, b, c, d = (x / sum(diag) for x in diag)
-    u, v = draw(st.lists(st.floats(-0.999, 0.999), min_size=2, max_size=2))
-    return a, b, c, d, u * math.sqrt(a * d), v * math.sqrt(b * c)
 
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
