@@ -91,9 +91,12 @@ def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig):
     the module docstring. Returns (x, f(x), number of f evaluations,
     converged), x the best point over all rounds."""
     n = cfg.n_global_samples
+    # np.linspace's own arithmetic, without its per-call overhead
+    ramp = np.arange(n, dtype=float)
     best_x, best_f = lo, math.inf
     for rounds in range(1, cfg.n_refine_iters + 1):
-        grid = np.linspace(lo, hi, n)
+        grid = ramp * ((hi - lo) / (n - 1)) + lo
+        grid[-1] = hi
         vals = f(grid)
         i = int(np.argmin(vals))
         if vals[i] < best_f:
