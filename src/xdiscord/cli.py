@@ -21,7 +21,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .discord import ali_candidate, discord_given_conditional_entropy
@@ -157,7 +157,7 @@ def render_json(report: DiscordReport) -> str:
     payload = {
         "base": report.base.value,
         "n_global_samples": report.n_global_samples,
-        "results": [asdict(r) for r in report.results],
+        "results": [vars(r) for r in report.results],
     }
     return json.dumps(payload, indent=2)
 
@@ -167,7 +167,7 @@ def render_csv(report: DiscordReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     # the csv module writes floats by repr, so they round-trip exactly
-    writer.writerows((*astuple(r), report.base.value) for r in report.results)
+    writer.writerows((*vars(r).values(), report.base.value) for r in report.results)
     return buf.getvalue()
 
 
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     samples = SearchConfig().n_global_samples
     run.add_argument(
         "--samples", type=int, default=samples,
-        help=f"scan points of each 1-D solve (default {samples})",
+        help=f"points of the first scan of each 1-D solve (default {samples})",
     )
     run.add_argument("--format", choices=["table", "json", "csv"], default="table")
 

@@ -1,13 +1,13 @@
 """Search for minimum conditional entropy over measurements.
 
 Both searches are deterministic 1-D solves of one form (_solve_1d):
-repeated scans of n_global_samples points, the first over the whole
-interval, endpoints included, each later one over the two cells either
-side of the previous scan's best point, until the bracket is at most
-REFINE_TOL or n_refine_iters scans have run. Interior optima exist, so
-the whole interval is scanned first. A solve builds its objective once
-(discord._plane_objective, _mirror_objective), so each scan is one
-kernel call.
+repeated scans, the first of n_global_samples points over the whole
+interval, endpoints included, as interior optima exist, each later one
+of min(REFINE_POINTS, n_global_samples) points over the two cells
+either side of the previous scan's best point, a bracket holding one
+minimum, until it is at most REFINE_TOL or n_refine_iters scans have
+run. A solve builds its objective once (discord._plane_objective,
+_mirror_objective), so each scan is one kernel call.
 
 Projective case: an optimal axis lies in the plane of z and the
 transverse axis with the larger |t|, so the solve runs over the axis's
@@ -49,12 +49,15 @@ MIRROR_T_LO = PROJ_LO / (1.0 - PROJ_LO)
 MIRROR_T_HI = PROJ_HI / (1.0 - PROJ_HI)
 # bracket width at which a 1-D solve has converged
 REFINE_TOL = 1e-10
+# points of each scan after the first, which narrows its bracket 100-fold:
+# four take the 1e-3 or 2e-3 a default first scan leaves to REFINE_TOL
+REFINE_POINTS = 201
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets of the 1-D solves: points per scan (at least 4, so a scan
-    narrows its bracket) and the cap on scan rounds."""
+    """Budgets of the 1-D solves: points of the first scan (at least 4,
+    so a scan narrows its bracket) and the cap on scan rounds."""
 
     n_global_samples: int = 2001
     n_refine_iters: int = 400
@@ -72,7 +75,7 @@ class OptResult:
     (best_weights, best_euler) for the 3-element case and
     best_direction for the projective case. base is the log base of
     best_value. n_evals counts the objective evaluations of the
-    search's own 1-D solve, n_global_samples per scan round, and
+    search's own 1-D solve, over all its scans, and
     converged reports whether the solve that produced best_value
     narrowed its bracket to REFINE_TOL.
     """
@@ -90,21 +93,23 @@ def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig):
     """Minimize the vectorized f over [lo, hi] by the repeated scans of
     the module docstring. Returns (x, f(x), number of f evaluations,
     converged), x the best point over all rounds."""
-    n = cfg.n_global_samples
-    # np.linspace's own arithmetic, without its per-call overhead
-    ramp = np.arange(n, dtype=float)
-    best_x, best_f = lo, math.inf
-    for rounds in range(1, cfg.n_refine_iters + 1):
+    # linspace's arithmetic; a later scan uses the ramp's leading points
+    ramp = np.arange(cfg.n_global_samples, dtype=float)
+    best_x, best_f, n_evals = lo, math.inf, 0
+    for _ in range(cfg.n_refine_iters):
+        n = len(ramp)
         grid = ramp * ((hi - lo) / (n - 1)) + lo
         grid[-1] = hi
         vals = f(grid)
+        n_evals += n
         i = int(np.argmin(vals))
         if vals[i] < best_f:
             best_x, best_f = float(grid[i]), float(vals[i])
         lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n - 1)])
         if hi - lo <= REFINE_TOL:
             break
-    return best_x, best_f, rounds * n, hi - lo <= REFINE_TOL
+        ramp = ramp[:REFINE_POINTS]
+    return best_x, best_f, n_evals, hi - lo <= REFINE_TOL
 
 
 def minimize_projective(

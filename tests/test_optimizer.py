@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import EDGE_WEIGHTS, WORST_ENTRIES, edge_xstates, positive_xstates
+from conftest import (
+    BENCH_ENTRIES,
+    EDGE_WEIGHTS,
+    PACKAGE_ERRORS,
+    WORST_ENTRIES,
+    edge_xstates,
+    positive_xstates,
+)
 from oracles import ce_povm_oracle, dense_xmatrix, random_unit_vector, random_xstate_entries
 from povm_search import (
     IMPROVE_EPS,
@@ -25,7 +33,9 @@ from povm_search import (
     phi_invariance_audit,
     search_povm3,
 )
+from xdiscord import optimizer
 from xdiscord.discord import (
+    PROB_FLOOR,
     ali_candidate,
     conditional_entropy_mirror,
     conditional_entropy_plane,
@@ -41,6 +51,7 @@ from xdiscord.optimizer import (
     MIRROR_T_LO,
     PROJ_HI,
     PROJ_LO,
+    REFINE_POINTS,
     REFINE_TOL,
     OptResult,
     SearchConfig,
@@ -623,6 +634,13 @@ class TestPovm3Properties:
 DENSE_POINTS = 200_001
 
 
+# the default first scan, and first scans of fewer than REFINE_POINTS
+# points, after which every scan has the first's size
+SCAN_CONFIGS = [CFG, *(SearchConfig(n_global_samples=n) for n in (57, 5, 4))]
+# an incumbent that never wins leaves the mirror solve's own result
+NEVER = OptResult(math.inf, 0, False, LogBase.BITS, best_direction=(0.0, 0.0, 1.0))
+
+
 class TestSolve1dProperties:
     """Each 1-D solve is never above a dense scan of its own objective."""
 
@@ -630,22 +648,106 @@ class TestSolve1dProperties:
     @given(positive_xstates())
     def test_projective_solve(self, entries):
         s = xstate_from_entries(*entries)
-        res = minimize_projective(s, CFG)
         dense = conditional_entropy_plane(s, np.linspace(0.0, 1.0, DENSE_POINTS)).min()
-        assert res.converged
-        assert res.best_value <= dense + 1e-12
+        for cfg in SCAN_CONFIGS:
+            res = minimize_projective(s, cfg)
+            assert res.converged
+            assert res.best_value <= dense + 1e-12, cfg
 
     @PROPERTY_SETTINGS
     @given(positive_xstates())
     def test_mirror_solve(self, entries):
         s = xstate_from_entries(*entries)
-        # an incumbent that never wins leaves the mirror solve's own result
-        never = OptResult(math.inf, 0, False, LogBase.BITS, best_direction=(0.0, 0.0, 1.0))
-        res = minimize_povm3(s, CFG, proj=never)
         t = np.linspace(-MIRROR_T_HI, MIRROR_T_HI, DENSE_POINTS)
         dense = conditional_entropy_mirror(s, _mirror_t(t)).min()
-        assert res.converged
-        assert res.best_value <= dense + 1e-12
+        for cfg in SCAN_CONFIGS:
+            res = minimize_povm3(s, cfg, proj=NEVER)
+            assert res.converged
+            assert res.best_value <= dense + 1e-12, cfg
+
+
+def schedule_outcome(entries):
+    """delta3_min, delta2_min, delta2 and the 3-element result of the
+    state with these entries, or the package error it raises."""
+    s = xstate_from_entries(*entries)
+    try:
+        proj = minimize_projective(s, CFG)
+        povm = minimize_povm3(s, CFG, proj=proj)
+        discords = discord_of(s, povm.best_value), discord_of(s, proj.best_value)
+        return (*discords, ali_candidate(s).value), povm
+    except PACKAGE_ERRORS as e:
+        return type(e), None
+
+
+class TestRefineSchedule:
+    """Later scans of min(REFINE_POINTS, n) points against every scan of
+    n points, the schedule REFINE_POINTS = n_global_samples restores:
+    the results move at rounding level only."""
+
+    @staticmethod
+    def check_against_full_scans(entries, tol=1e-15):
+        with mock.patch.object(optimizer, "REFINE_POINTS", CFG.n_global_samples):
+            full, _ = schedule_outcome(entries)
+        sized, povm = schedule_outcome(entries)
+        if povm is None:
+            assert sized == full
+            return
+        (d3, d2m, d2), (d3_full, d2m_full, d2_full) = sized, full
+        assert abs(d3 - d3_full) <= tol
+        assert abs(d2m - d2m_full) <= tol
+        assert d2 == d2_full
+        s = xstate_from_entries(*entries)
+        rebuilt = conditional_entropy_povm3(s, build_povm3(povm.best_weights, povm.best_euler))
+        # a projective witness's third weight, 1 - 2 PROJ_HI ~ 1e-9, moves
+        # its value by up to twice that
+        assert abs(rebuilt - povm.best_value) <= 1e-8
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(positive_xstates())
+    def test_generated_states(self, entries):
+        self.check_against_full_scans(entries)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(edge_xstates())
+    # A = -1 + 2e-15, where the two schedules differ by 3.8e-13
+    @example((2.4757990644926596e-16, 0.24757990644926567, 7.524200935507342e-16,
+              0.7524200935507334, 0.0, 0.0))
+    def test_edge_states(self, entries):
+        # near A = +-1 the objective steps by up to PROB_FLOOR where an
+        # outcome's probability crosses PROB_FLOOR and is skipped, within
+        # REFINE_TOL of an end: last scans of other spacings land on
+        # either side of the step
+        self.check_against_full_scans(entries, PROB_FLOOR)
+
+    def test_seeded_and_bundled_states(self, rng):
+        corpus = [*BENCH_ENTRIES.values(), WORST_ENTRIES]
+        corpus += [random_xstate_entries(rng) for _ in range(200)]
+        for entries in corpus:
+            self.check_against_full_scans(entries)
+
+
+class TestScanBudget:
+    @pytest.mark.parametrize("cfg", SCAN_CONFIGS, ids=lambda c: str(c.n_global_samples))
+    def test_first_scan_full_later_scans_sized(self, bench_states, monkeypatch, cfg):
+        sizes = []
+
+        def counted(make):
+            def objective(s, base):
+                f = make(s, base)
+                return lambda x: sizes.append(len(x)) or f(x)
+            return objective
+
+        for name in ("_plane_objective", "_mirror_objective"):
+            monkeypatch.setattr(optimizer, name, counted(getattr(optimizer, name)))
+        n, m = cfg.n_global_samples, min(REFINE_POINTS, cfg.n_global_samples)
+        for s in bench_states.values():
+            for solve in (minimize_projective, lambda s, cfg: minimize_povm3(s, cfg, proj=NEVER)):
+                sizes.clear()
+                res = solve(s, cfg)
+                rounds = len(sizes)
+                assert res.converged and rounds > 1
+                assert sizes == [n] + [m] * (rounds - 1)
+                assert res.n_evals == n + (rounds - 1) * m
 
 
 def advantage_states(n_keep, seed, max_draws=400):

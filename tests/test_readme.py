@@ -1,4 +1,5 @@
-"""The README's API list and benchmark table against the package."""
+"""The README's API list, scan budget and benchmark table against the
+package."""
 
 import re
 from pathlib import Path
@@ -6,9 +7,11 @@ from pathlib import Path
 import xdiscord
 from xdiscord.cli import load_benchmarks, render_table, run_report
 from xdiscord.entropy import LogBase
-from xdiscord.optimizer import SearchConfig
+from xdiscord.optimizer import REFINE_POINTS, SearchConfig, minimize_projective
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+# the README with every run of whitespace one space, so a pattern may span lines
+WORDS = " ".join(README.split())
 
 
 def _fenced_after(text: str, marker: str) -> str:
@@ -44,3 +47,18 @@ def test_benchmark_table_matches_run():
     header, *table = render_table(report).split("\n")
     assert header.startswith("# base=")
     assert shown == "\n".join(table)
+
+
+def test_scan_budget_matches_solves():
+    first, later, scans, evals = re.search(
+        r"a (\d+)-point scan of the axis's .*?, then (\d+)-point scans .*?; "
+        r"(\w+) scans, (\d+) evaluations, on the bundled states",
+        WORDS,
+    ).groups()
+    n_scans = ("two", "three", "four", "five", "six", "seven").index(scans) + 2
+    assert int(first) == SearchConfig().n_global_samples
+    assert int(later) == REFINE_POINTS
+    assert int(evals) == int(first) + (n_scans - 1) * int(later)
+    for _, s in load_benchmarks():
+        assert minimize_projective(s).n_evals == int(evals)
+    assert f"the later scans take {REFINE_POINTS} points" in WORDS
