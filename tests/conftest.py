@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from xdiscord import errors
 from xdiscord.optimizer import PROJ_HI
 from xdiscord.qstate import xstate_from_entries
 
@@ -17,9 +16,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-# the package's own error types
-PACKAGE_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type))
 
 BENCH_ENTRIES = {
     "rho1": (0.027180, 0.000224, 0.027327, 0.945269, 0.141651, 0.0),

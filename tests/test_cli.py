@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (
-    BENCH_ENTRIES,
-    MIXED_ENTRIES,
-    PACKAGE_ERRORS,
-    edge_xstates,
-    positive_xstates,
-)
+from conftest import BENCH_ENTRIES, MIXED_ENTRIES, edge_xstates, positive_xstates
 from oracles import ce_povm_oracle, dense_xmatrix, random_xstate_entries
 from xdiscord.cli import (
     CSV_COLUMNS,
@@ -29,7 +23,7 @@ from xdiscord.cli import (
     render_table,
     run_report,
 )
-from xdiscord import cli, optimizer
+from xdiscord import cli, errors, optimizer
 from xdiscord.discord import discord_given_conditional_entropy
 from xdiscord.entropy import LogBase
 from xdiscord.errors import ParseError
@@ -323,6 +317,9 @@ def test_report_equality_and_types():
     r = rep.results[0]
     for field in ("delta3_min", "delta2_min", "delta2", "mu1", "psi"):
         assert isinstance(getattr(r, field), float)
+
+
+PACKAGE_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from conftest import (
     BENCH_ENTRIES,
     EDGE_WEIGHTS,
-    PACKAGE_ERRORS,
     WORST_ENTRIES,
     edge_xstates,
     positive_xstates,
@@ -595,12 +594,19 @@ class TestPatternMoves:
 WITNESS_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 
-def povm3_discords(entries):
-    """delta3_min, delta2_min and delta2 of the state with these entries."""
+def povm3_solve(entries):
+    """(delta3_min, delta2_min, delta2) of the state with these entries
+    and its minimize_povm3 result."""
     s = xstate_from_entries(*entries)
     proj = minimize_projective(s, CFG)
     povm = minimize_povm3(s, CFG, proj=proj)
-    return discord_of(s, povm.best_value), discord_of(s, proj.best_value), ali_candidate(s).value
+    discords = discord_of(s, povm.best_value), discord_of(s, proj.best_value)
+    return (*discords, ali_candidate(s).value), povm
+
+
+def povm3_discords(entries):
+    """delta3_min, delta2_min and delta2 of the state with these entries."""
+    return povm3_solve(entries)[0]
 
 
 class TestPovm3Properties:
@@ -666,19 +672,6 @@ class TestSolve1dProperties:
             assert res.best_value <= dense + 1e-12, cfg
 
 
-def schedule_outcome(entries):
-    """delta3_min, delta2_min, delta2 and the 3-element result of the
-    state with these entries, or the package error it raises."""
-    s = xstate_from_entries(*entries)
-    try:
-        proj = minimize_projective(s, CFG)
-        povm = minimize_povm3(s, CFG, proj=proj)
-        discords = discord_of(s, povm.best_value), discord_of(s, proj.best_value)
-        return (*discords, ali_candidate(s).value), povm
-    except PACKAGE_ERRORS as e:
-        return type(e), None
-
-
 class TestRefineSchedule:
     """Later scans of min(REFINE_POINTS, n) points against every scan of
     n points, the schedule REFINE_POINTS = n_global_samples restores:
@@ -687,12 +680,8 @@ class TestRefineSchedule:
     @staticmethod
     def check_against_full_scans(entries, tol=1e-15):
         with mock.patch.object(optimizer, "REFINE_POINTS", CFG.n_global_samples):
-            full, _ = schedule_outcome(entries)
-        sized, povm = schedule_outcome(entries)
-        if povm is None:
-            assert sized == full
-            return
-        (d3, d2m, d2), (d3_full, d2m_full, d2_full) = sized, full
+            d3_full, d2m_full, d2_full = povm3_discords(entries)
+        (d3, d2m, d2), povm = povm3_solve(entries)
         assert abs(d3 - d3_full) <= tol
         assert abs(d2m - d2m_full) <= tol
         assert d2 == d2_full
@@ -713,10 +702,10 @@ class TestRefineSchedule:
     @example((2.4757990644926596e-16, 0.24757990644926567, 7.524200935507342e-16,
               0.7524200935507334, 0.0, 0.0))
     def test_edge_states(self, entries):
-        # near A = +-1 the objective steps by up to PROB_FLOOR where an
-        # outcome's probability crosses PROB_FLOOR and is skipped, within
-        # REFINE_TOL of an end: last scans of other spacings land on
-        # either side of the step
+        # for |A| within PROB_FLOOR of 1 an outcome's probability falls
+        # to PROB_FLOOR within PROB_FLOOR of an end of the interval and
+        # the outcome is skipped there: the objective steps by up to
+        # PROB_FLOOR, and last scans of other spacings land either side
         self.check_against_full_scans(entries, PROB_FLOOR)
 
     def test_seeded_and_bundled_states(self, rng):
