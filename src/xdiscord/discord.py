@@ -50,20 +50,20 @@ class DiscordValue:
 
 
 def _bloch_length(bp, tt, mz):
-    """(1 + A mz, live, E clamped to [0, 1]) of the outcome directions
-    with z-component mz and transverse part tt = (t1 mx)^2 + (t2 my)^2,
-    vectorized; live marks the outcomes that occur, 1 + A mz > PROB_FLOOR."""
+    """(1 + A mz, E clamped to [0, 1]) of the outcome directions with
+    z-component mz and transverse part tt = (t1 mx)^2 + (t2 my)^2,
+    vectorized; E divides by 1 + A mz floored at PROB_FLOOR."""
     den = 1.0 + bp.A * mz
-    live = den > PROB_FLOOR
     e = np.sqrt(tt + (bp.t3 * mz + bp.B) ** 2) / np.maximum(den, PROB_FLOOR)
-    return den, live, np.minimum(e, 1.0)  # e >= 0 already
+    return den, np.minimum(e, 1.0)  # e >= 0 already
 
 
 def _outcome_term(bp, tt, mz, scale: float):
     """Per-outcome term (1 + A mz) h(E) of _bloch_length's directions,
-    h times scale (entropy._scale); 0 for an outcome that never occurs."""
-    den, live, e = _bloch_length(bp, tt, mz)
-    return np.where(live, den * _h(e, scale), 0.0)
+    h times scale (entropy._scale); continuous where the outcome's
+    probability 1 + A mz falls to 0, and 0 there."""
+    den, e = _bloch_length(bp, tt, mz)
+    return np.maximum(den, 0.0) * _h(e, scale)
 
 
 def _transverse(bp, dirs):
@@ -89,8 +89,8 @@ def e_function(s: XState, m) -> float:
     """
     m = _check_unit(m)
     bp = bloch_params(s)
-    den, live, e = _bloch_length(bp, _transverse(bp, m), m[2])
-    if not live:
+    den, e = _bloch_length(bp, _transverse(bp, m), m[2])
+    if not den > PROB_FLOOR:
         raise ZeroProbabilityError(f"outcome probability factor {float(den)!r} vanishes")
     return float(e)
 

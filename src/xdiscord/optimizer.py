@@ -16,12 +16,13 @@ z-component nz in [0, 1] (discord.conditional_entropy_plane).
 3-element case: the solve runs over the mirror-symmetric triangle of
 discord.conditional_entropy_mirror, a pole on the z axis and a mirror
 pair in the same plane, and the result is the better of it and the
-projective optimum. This is an observation, not a theorem: a seeded
-Monte-Carlo sweep plus a 5-D pattern search over all weight triples
-and orientations (kept in the tests as the reference) was never below
-it by more than 1e-12 on random states, on states where a POVM beats
-every projective measurement, and at the worst case of the
-Ali-Rau-Alber error.
+projective optimum. The tests certify it against every POVM, with any
+number of outcomes, by 1-D LP duality: an outcome's term g(m) is at
+least G(mz) (discord._plane_kernel), and a POVM has sum mu_k = 1 and
+sum mu_k m_k = 0, so its conditional entropy is at least
+min_z G(z) - lam z for any lam. From the chord of G through the
+witness's support, a few simplex steps in lam meet it within 1e-12.
+That bound is exact to its scans' resolution, not an interval bound.
 
 Either 3-element witness is a planar triangle that _plane_euler turns
 into the plane of the solves, its first direction on the mirror

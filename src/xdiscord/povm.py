@@ -181,17 +181,3 @@ def build_povm3(w: PovmWeights, e: EulerAngles) -> Povm3:
     dirs = planar_directions(angles_from_weights(w)) @ rotation_matrix(e).T
     return Povm3(weights=w, dirs=dirs)
 
-
-def sample_weights(rng: np.random.Generator) -> PovmWeights:
-    """Uniform draw from the open admissible region, by simplex rejection.
-
-    With the sum fixed to 1 the triangle inequalities reduce to each
-    mu_i < 1/2; the margin keeps samples strictly interior.
-    """
-    cap = (1.0 - TRIANGLE_MARGIN) / 2.0
-    while True:
-        u = rng.uniform(0.0, 1.0, size=2)
-        lo, hi = min(u), max(u)
-        mus = (lo, hi - lo, 1.0 - hi)
-        if max(mus) <= cap:
-            return PovmWeights(*mus)

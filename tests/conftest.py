@@ -23,12 +23,20 @@ BENCH_ENTRIES = {
     "rho3": (0.0783, 0.1250, 0.1250, 0.6717, 0.0, 0.1000),
 }
 
+
+def _unit_trace(a, b, c, d, eps, delta):
+    t = a + b + c + d
+    return a / t, b / t, c / t, d / t, eps, delta
+
+
 # the largest delta2 - delta3_min found by a search over general X
-# states, above the paper's 0.004565 bits; its raw diagonal
-# (0.072007, 0, 0.080864, 0.847130) sums to 1.000001, so it is
-# renormalised to unit trace
-_WORST_DIAG = (0.072007, 0.0, 0.080864, 0.847130)
-WORST_ENTRIES = (*(x / sum(_WORST_DIAG) for x in _WORST_DIAG), 0.212863, 0.0)
+# states, on the face a = eps = 0 with b = d, above the paper's 0.004565
+# bits; the diagonals here are renormalised to unit trace
+WORST_ENTRIES = _unit_trace(0.0, 0.0760447525, 0.8479104950, 0.0760447525, 0.0, 0.2209578615)
+# the largest gap found with b = c, twice the paper's 0.0009 bits for
+# symmetric states; with delta = 0 as well, as at rho2, the largest is
+# ~0.000905
+WORST_BC_ENTRIES = _unit_trace(0.0, 0.4208000250, 0.4208000250, 0.1583999499, 0.0, 0.3851224369)
 
 MIXED_ENTRIES = (0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
 BELL_ENTRIES = (0.5, 0.0, 0.0, 0.5, 0.5, 0.0)

@@ -16,12 +16,14 @@ from oracles import (
     ce_povm_oracle,
     ce_projective_oracle,
     dense_xmatrix,
+    dual_bound,
     entropy_of_matrix,
+    phi_audit,
     povm_elements,
     random_unit_vector,
     random_xstate_entries,
+    sample_weights,
 )
-from povm_search import phi_invariance_audit, search_povm3
 from xdiscord.discord import (
     ali_candidate,
     conditional_entropy_povm3,
@@ -30,7 +32,7 @@ from xdiscord.discord import (
 )
 from xdiscord.entropy import LogBase, von_neumann_xstate
 from xdiscord.optimizer import SearchConfig, minimize_povm3, minimize_projective
-from xdiscord.povm import EulerAngles, build_povm3, sample_weights
+from xdiscord.povm import EulerAngles, build_povm3
 from xdiscord.qstate import xstate_from_entries
 
 LN2 = math.log(2.0)
@@ -199,10 +201,10 @@ def test_criterion_6_phi_invariance(states):
     spreads = {}
     for name in NAMES:
         s = states[name]
-        rep = phi_invariance_audit(s, minimize_povm3(s, SearchConfig()), SearchConfig())
-        spreads[name] = rep.spread
-        if rep.spread > 1e-6:
-            errs.append(f"{name} spread {rep.spread:.2e} > 1e-6")
+        values = phi_audit(s, minimize_povm3(s, SearchConfig()).best_weights)
+        spreads[name] = max(values) - min(values)
+        if spreads[name] > 1e-6:
+            errs.append(f"{name} spread {spreads[name]:.2e} > 1e-6")
     ok = not errs
     detail = ", ".join(f"{n}={spreads[n]:.1e}" for n in NAMES)
     _report(6, ok, f"phi-audit spreads {detail}" if ok else "; ".join(errs))
@@ -269,20 +271,17 @@ def test_criterion_7_property_suites(states, pipeline_bits):
             and a.best_euler == b.best_euler and a.n_evals == b.n_evals):
         errs.append("repeat run not bit-identical")
 
-    # the seeded 5-D reference search from 10 seeds: stable, and never
-    # below the 1-D solve
+    # the dual bound of each witness certifies the 1-D solve against
+    # every POVM
     for name in NAMES:
-        ours = minimize_povm3(states[name], SearchConfig()).best_value
-        vals = [search_povm3(states[name], seed=k).best_value for k in range(10)]
-        spread = max(vals) - min(vals)
-        if spread > 1e-5:
-            errs.append(f"{name} restart spread {spread:.2e} > 1e-5")
-        if min(vals) < ours - 1e-12:
-            errs.append(f"{name} reference search {min(vals) - ours:.2e} below the 1-D solve")
+        res = minimize_povm3(states[name], SearchConfig())
+        gap = res.best_value - dual_bound(states[name], res)
+        if abs(gap) > 1e-12:
+            errs.append(f"{name} certificate gap {gap:.2e} beyond 1e-12")
 
     ok = not errs
     _report(7, ok, "property suites (completeness, oracles, dominance, determinism, "
-            "reference restarts)" if ok else "; ".join(errs))
+            "certificate)" if ok else "; ".join(errs))
     assert ok, errs
 
 

@@ -1,29 +1,35 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import BENCH_ENTRIES
+from conftest import BENCH_ENTRIES, EDGE_WEIGHTS
 from oracles import (
     I2,
+    bloch_element,
+    ce_elements_oracle,
     ce_povm_oracle,
     ce_projective_oracle,
     dense_xmatrix,
     povm_elements,
     random_unit_vector,
     random_xstate_entries,
+    sample_weights,
 )
 from xdiscord.discord import (
+    _plane_kernel,
     ali_candidate,
     conditional_entropy_povm3,
     conditional_entropy_projective,
     discord_given_conditional_entropy,
     e_function,
+    plane_direction,
 )
 from xdiscord.entropy import LogBase
 from xdiscord.errors import ZeroProbabilityError
-from xdiscord.povm import EulerAngles, Povm3, PovmWeights, build_povm3, sample_weights
+from xdiscord.povm import EulerAngles, Povm3, PovmWeights, build_povm3
 from xdiscord.qstate import bloch_params, xstate_from_entries
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -31,6 +37,7 @@ X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
 # t1 = 0, t2 = -0.8: the best axis is y, and discord is 0
 YAXIS_ENTRIES = (0.25, 0.25, 0.25, 0.25, 0.2, -0.2)
+A_PLUS1_ENTRIES = (0.5, 0.0, 0.5, 0.0, 0.0, 0.0)
 
 
 def random_povm(rng):
@@ -133,13 +140,21 @@ class TestConditionalEntropyPovm3:
                 assert abs(conditional_entropy_povm3(s, q, LogBase.BITS) - base_val) <= 1e-14
 
     def test_dense_oracle_equivalence(self, rng):
+        cases = []
         for _ in range(1000):
-            entries = random_xstate_entries(rng)
+            cases.append((random_xstate_entries(rng), random_povm(rng), 1e-10))
+        # weight triples at the edge of the region, in every order (the
+        # angles are measured from direction 1), on the bundled states and A = 1
+        triples = {mus for w in EDGE_WEIGHTS.values() for mus in itertools.permutations(w)}
+        for mus in sorted(triples):
+            for entries in (*BENCH_ENTRIES.values(), A_PLUS1_ENTRIES):
+                for e in rng.uniform(0.0, 2.0 * math.pi, size=(20, 3)):
+                    cases.append((entries, build_povm3(PovmWeights(*mus), EulerAngles(*e)), 1e-12))
+        for entries, p, tol in cases:
             s = xstate_from_entries(*entries)
-            p = random_povm(rng)
             ours = conditional_entropy_povm3(s, p, LogBase.BITS)
             dense = ce_povm_oracle(dense_xmatrix(*entries), p.weights.as_array(), p.dirs)
-            assert_allclose(ours, dense, atol=1e-10)
+            assert_allclose(ours, dense, rtol=0.0, atol=tol)
 
     def test_projective_limit(self, bench_states, rng):
         s = bench_states["rho3"]
@@ -188,10 +203,28 @@ class TestConditionalEntropyProjective:
             conditional_entropy_projective(bench_states["rho1"], (math.nan, 0.0, 1.0))
 
     def test_extreme_marginal_state(self):
-        # A = -1 makes the +z outcome impossible; entropy term skipped
+        # A = -1 makes the +z outcome impossible; its term is 0
         s = xstate_from_entries(0.0, 0.5, 0.0, 0.5, 0.0, 0.0)
         val = conditional_entropy_projective(s, Z_AXIS, LogBase.BITS)
         assert math.isfinite(val)
+
+
+class TestPlaneKernel:
+    def test_outcome_term_at_least_plane_term(self, rng):
+        # one outcome's term g(m) = (1 + A mz) h(E(m)), from the dense
+        # oracle, is never below G(mz), and is G(mz) on the plane of the
+        # solves: the premise of the dual bound that certifies delta3_min
+        for _ in range(200):
+            entries = random_xstate_entries(rng)
+            s = xstate_from_entries(*entries)
+            rho4 = dense_xmatrix(*entries)
+            g_plane = _plane_kernel(s, LogBase.BITS)
+            for _ in range(10):
+                m = random_unit_vector(rng)
+                g = ce_elements_oracle(rho4, [bloch_element(1.0, m)])
+                assert g >= g_plane(m[2]) - 1e-12
+                n = plane_direction(s, m[2])
+                assert abs(ce_elements_oracle(rho4, [bloch_element(1.0, n)]) - g_plane(m[2])) <= 1e-12
 
 
 class TestDiscordAssembly:

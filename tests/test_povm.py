@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import EDGE_WEIGHTS
-from oracles import povm_elements
+from oracles import povm_elements, sample_weights
 from xdiscord.errors import DegenerateError
 from xdiscord.povm import (
     EulerAngles,
@@ -16,7 +16,6 @@ from xdiscord.povm import (
     build_povm3,
     planar_directions,
     rotation_matrix,
-    sample_weights,
 )
 
 TRINE = PovmWeights(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -257,19 +256,3 @@ class TestPovm3Validation:
         with pytest.raises(ValueError):
             p.dirs[0, 0] = 2.0
 
-
-class TestSampleWeights:
-    def test_deterministic_for_fixed_seed(self):
-        w1 = sample_weights(np.random.default_rng(424242))
-        w2 = sample_weights(np.random.default_rng(424242))
-        assert (w1.mu1, w1.mu2, w1.mu3) == (w2.mu1, w2.mu2, w2.mu3)
-
-    def test_large_sample_constraint_audit(self, rng):
-        for _ in range(100_000):
-            w = sample_weights(rng)
-            mus = (w.mu1, w.mu2, w.mu3)
-            assert abs(sum(mus) - 1.0) <= 1e-12
-            for i in range(3):
-                j, k = (i + 1) % 3, (i + 2) % 3
-                assert mus[j] + mus[k] - mus[i] >= 1e-9
-                assert mus[i] - abs(mus[j] - mus[k]) >= 1e-9
