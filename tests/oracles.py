@@ -111,6 +111,22 @@ def random_xstate_entries(rng):
     return a, b, c, d, eps, delta
 
 
+RANK2_FAMILIES = ("outer_rank1_plus_c", "both_blocks_rank1", "b_c_zero")
+
+
+def rank2_entries(rng, family):
+    """Entries of a random X state of rank 2 from one of RANK2_FAMILIES."""
+    if family == "outer_rank1_plus_c":  # b = delta = 0, ad = eps^2
+        a, c, d = rng.dirichlet([1.0, 1.0, 1.0])
+        return a, 0.0, c, d, rng.choice((-1.0, 1.0)) * math.sqrt(a * d), 0.0
+    if family == "both_blocks_rank1":
+        a, b, c, d = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
+        eps, delta = rng.choice((-1.0, 1.0), size=2) * np.sqrt((a * d, b * c))
+        return a, b, c, d, eps, delta
+    a = rng.uniform(0.0, 1.0)  # b = c = 0
+    return a, 0.0, 0.0, 1.0 - a, rng.uniform(-1.0, 1.0) * math.sqrt(a * (1.0 - a)), 0.0
+
+
 def random_unit_vector(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)

@@ -16,12 +16,14 @@ from conftest import (
 )
 from oracles import (
     PHI_POINTS,
+    RANK2_FAMILIES,
     ce_povm_oracle,
     dense_xmatrix,
     dual_bound,
     kw_conditional_entropy,
     phi_audit,
     random_unit_vector,
+    rank2_entries,
     random_xstate_entries,
 )
 from xdiscord import optimizer
@@ -490,9 +492,13 @@ class TestCertificateGate:
         assert len(states) == 12
         self.assert_certified(states)
 
-    def test_worst_case_states(self):
-        entries = [*BENCH_ENTRIES.values(), WORST_ENTRIES, WORST_BC_ENTRIES]
-        self.assert_certified([xstate_from_entries(*e) for e in entries])
+    @pytest.mark.parametrize(
+        "entries",
+        [*BENCH_ENTRIES.values(), WORST_ENTRIES, WORST_BC_ENTRIES],
+        ids=[*BENCH_ENTRIES, "worst_general", "worst_b_equals_c"],
+    )
+    def test_worst_case_states(self, entries):
+        self.assert_certified([xstate_from_entries(*entries)])
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.one_of(positive_xstates(), edge_xstates()))
@@ -500,24 +506,11 @@ class TestCertificateGate:
         self.assert_certified([xstate_from_entries(*entries)])
 
 
-def rank2_entries(rng, family):
-    """Entries of a random X state of rank 2 from one of three families."""
-    if family == "outer_rank1_plus_c":  # b = delta = 0, ad = eps^2
-        a, c, d = rng.dirichlet([1.0, 1.0, 1.0])
-        return a, 0.0, c, d, rng.choice((-1.0, 1.0)) * math.sqrt(a * d), 0.0
-    if family == "both_blocks_rank1":
-        a, b, c, d = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-        eps, delta = rng.choice((-1.0, 1.0), size=2) * np.sqrt((a * d, b * c))
-        return a, b, c, d, eps, delta
-    a = rng.uniform(0.0, 1.0)  # b = c = 0
-    return a, 0.0, 0.0, 1.0 - a, rng.uniform(-1.0, 1.0) * math.sqrt(a * (1.0 - a)), 0.0
-
-
 class TestKoashiWinter:
     """On rank-2 states delta3_min's conditional entropy is the exact
     minimum over all POVMs, E_F(rho_AC) (oracles.kw_conditional_entropy)."""
 
-    @pytest.mark.parametrize("family", ["outer_rank1_plus_c", "both_blocks_rank1", "b_c_zero"])
+    @pytest.mark.parametrize("family", RANK2_FAMILIES)
     def test_rank2_states(self, family):
         rng = np.random.default_rng(13)
         for _ in range(100):
