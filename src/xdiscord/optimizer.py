@@ -41,13 +41,14 @@ from .entropy import LogBase
 from .povm import TRIANGLE_MARGIN, EulerAngles, PovmWeights
 from .qstate import XState
 
-# box of the pole weight mu1 = |t| / (1 + |t|) of the mirror triangle,
-# 1e-12 inside the admissible margins so weight triples at its ends
-# still validate strictly
-PROJ_LO = TRIANGLE_MARGIN + 1e-12
-PROJ_HI = (1.0 - TRIANGLE_MARGIN) / 2.0 - 1e-12
-MIRROR_T_LO = PROJ_LO / (1.0 - PROJ_LO)
-MIRROR_T_HI = PROJ_HI / (1.0 - PROJ_HI)
+# box of a witness weight: the mirror triangle's pole weight
+# mu1 = |t| / (1 + |t|) stays in it, and a projective witness takes
+# WEIGHT_HI twice; 1e-12 inside the admissible margins so weight triples
+# at its ends still validate strictly
+WEIGHT_LO = TRIANGLE_MARGIN + 1e-12
+WEIGHT_HI = (1.0 - TRIANGLE_MARGIN) / 2.0 - 1e-12
+MIRROR_T_LO = WEIGHT_LO / (1.0 - WEIGHT_LO)
+MIRROR_T_HI = WEIGHT_HI / (1.0 - WEIGHT_HI)
 # bracket width at which a 1-D solve has converged
 REFINE_TOL = 1e-10
 # points of each scan after the first, which narrows its bracket 100-fold:
@@ -135,7 +136,7 @@ def minimize_projective(
 
 def _mirror_t(t):
     """t with |t| raised to MIRROR_T_LO: the pole weight stays in
-    [PROJ_LO, PROJ_HI] on the solve's interval, so every mirror
+    [WEIGHT_LO, WEIGHT_HI] on the solve's interval, so every mirror
     triangle it reports validates."""
     return np.copysign(np.maximum(np.abs(t), MIRROR_T_LO), t)
 
@@ -164,7 +165,7 @@ def minimize_povm3(
     proj wins ties. A proj without best_direction or of another base
     raises ValueError.
     The witness rebuilds through povm.build_povm3: the mirror triangle
-    itself, or, when proj wins, the (PROJ_HI, PROJ_HI, 1 - 2 PROJ_HI)
+    itself, or, when proj wins, the (WEIGHT_HI, WEIGHT_HI, 1 - 2 WEIGHT_HI)
     triple with its first direction on proj's axis, whose value is
     proj's to within ~1e-9.
     """
@@ -183,7 +184,7 @@ def minimize_povm3(
         n = (0.0, 0.0, math.copysign(1.0, t))
     else:
         value, converged = proj.best_value, proj.converged
-        weights = PovmWeights(PROJ_HI, PROJ_HI, 1.0 - 2.0 * PROJ_HI)
+        weights = PovmWeights(WEIGHT_HI, WEIGHT_HI, 1.0 - 2.0 * WEIGHT_HI)
         n = proj.best_direction
     return OptResult(
         best_value=value,

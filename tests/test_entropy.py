@@ -125,6 +125,7 @@ class TestVonNeumannXstate:
         dense = entropy_of_matrix(dense_xmatrix(s.a, s.b, s.c, s.d, s.eps, s.delta))
         assert_allclose(von_neumann_xstate(s, LogBase.BITS), dense, atol=1e-12)
 
+    @pytest.mark.criterion(7)
     def test_random_states_match_dense_oracle(self, rng):
         for _ in range(10_000):
             e = random_xstate_entries(rng)

@@ -147,6 +147,7 @@ class TestMinimizeProjective:
         assert res.converged
         assert res.best_direction is not None
 
+    @pytest.mark.criterion(1)
     def test_benchmark_discord_values(self, bench_states):
         targets = {"rho1": 0.124623, "rho2": 0.107948, "rho3": 0.132741}
         for name, target in targets.items():
@@ -154,6 +155,7 @@ class TestMinimizeProjective:
             res = minimize_projective(s, SearchConfig())
             assert abs(discord_of(s, res.best_value) - target) <= 5e-5
 
+    @pytest.mark.criterion(7)
     def test_deterministic(self, bench_states):
         s = bench_states["rho1"]
         r1 = minimize_projective(s, SearchConfig())
@@ -213,6 +215,7 @@ class TestProjectiveProperties:
 
 
 class TestMinimizePovm3:
+    @pytest.mark.criterion(1)
     def test_benchmark_discord_values(self, bench_states):
         targets = {"rho1": 0.123010, "rho2": 0.107873, "rho3": 0.132730}
         for name, target in targets.items():
@@ -221,6 +224,7 @@ class TestMinimizePovm3:
             assert abs(discord_of(s, res.best_value) - target) <= 1e-4
             assert res.converged
 
+    @pytest.mark.criterion(7)
     def test_deterministic(self, bench_states):
         s = bench_states["rho2"]
         r1 = minimize_povm3(s, CFG)
@@ -288,6 +292,7 @@ class TestMinimizePovm3:
             assert abs(conditional_entropy_povm3(s, p) - res.best_value) <= tol
         assert n_mirror >= 9
 
+    @pytest.mark.criterion(7)
     def test_dominance_chain_on_benchmarks(self, bench_states):
         for s in bench_states.values():
             d3 = minimize_povm3(s, SearchConfig()).best_value
@@ -399,7 +404,7 @@ class TestRefineSchedule:
         assert d2 == d2_full
         s = xstate_from_entries(*entries)
         rebuilt = conditional_entropy_povm3(s, build_povm3(povm.best_weights, povm.best_euler))
-        # a projective witness's third weight, 1 - 2 PROJ_HI ~ 1e-9, moves
+        # a projective witness's third weight, 1 - 2 WEIGHT_HI ~ 1e-9, moves
         # its value by up to twice that
         assert abs(rebuilt - povm.best_value) <= 1e-8
 
@@ -492,6 +497,7 @@ class TestCertificateGate:
         assert len(states) == 12
         self.assert_certified(states)
 
+    @pytest.mark.criterion(7)
     @pytest.mark.parametrize(
         "entries",
         [*BENCH_ENTRIES.values(), WORST_ENTRIES, WORST_BC_ENTRIES],
@@ -538,21 +544,23 @@ class TestHeadlineBound:
         assert abs(certificate_gap(s)) <= 1e-12
 
 
+@pytest.mark.criterion(6)
 class TestPhiInvarianceAudit:
-    @pytest.fixture(scope="class")
-    def rho2_audit(self, bench_states):
-        res = minimize_povm3(bench_states["rho2"], CFG)
-        return res, phi_audit(bench_states["rho2"], res.best_weights)
+    @pytest.fixture(scope="class", params=list(BENCH_ENTRIES))
+    def bench_audit(self, request, bench_states):
+        s = bench_states[request.param]
+        res = minimize_povm3(s, CFG)
+        return res, phi_audit(s, res.best_weights)
 
     def test_maximally_mixed_spread_exactly_zero(self, mixed_state):
         values = phi_audit(mixed_state, minimize_povm3(mixed_state, CFG).best_weights)
         assert max(values) - min(values) == 0.0
 
-    def test_benchmark_spread_small(self, rho2_audit):
-        values = rho2_audit[1]
+    def test_benchmark_spread_small(self, bench_audit):
+        values = bench_audit[1]
         assert max(values) - min(values) <= 1e-6
         assert len(values) == PHI_POINTS
 
-    def test_report_values_near_optimum(self, rho2_audit):
-        res, values = rho2_audit
+    def test_report_values_near_optimum(self, bench_audit):
+        res, values = bench_audit
         assert min(values) <= res.best_value + 1e-9

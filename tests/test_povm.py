@@ -183,6 +183,7 @@ class TestBuildPovm3:
         p = build_povm3(TRINE, EulerAngles(0.0, 0.0, 0.0))
         assert_allclose(p.dirs, planar_directions(angles_from_weights(TRINE)), atol=1e-14)
 
+    @pytest.mark.criterion(7)
     def test_completeness_on_random_draws(self, rng):
         for _ in range(10_000):
             w = sample_weights(rng)
@@ -191,6 +192,7 @@ class TestBuildPovm3:
             closure = w.as_array() @ p.dirs
             assert np.linalg.norm(closure) <= 1e-10
 
+    @pytest.mark.criterion(7)
     def test_elements_positive_and_complete(self, rng):
         for _ in range(300):
             w = sample_weights(rng)
