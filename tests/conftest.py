@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from xdiscord.optimizer import WEIGHT_HI
@@ -72,6 +73,24 @@ class CriterionGate:
 
 def pytest_configure(config):
     config.pluginmanager.register(CriterionGate())
+
+
+# every property test draws the same examples on every run; a test's
+# settings(...) sets only its max_examples
+settings.register_profile("xdiscord", deadline=None, derandomize=True, database=None)
+settings.load_profile("xdiscord")
+
+
+def assert_each_close(actual, desired, atol, rtol=0.0):
+    """assert_allclose(actual[i], desired[i], rtol, atol) for every draw i
+    along the first axis at once, atol one or one per draw; a failure
+    names the worst draw, and a NaN fails."""
+    actual = np.asarray(actual)
+    desired = np.broadcast_to(desired, actual.shape)
+    err = np.abs(actual - desired) - rtol * np.abs(desired)
+    excess = err.reshape(len(actual), -1).max(axis=1) - np.asarray(atol)
+    i = int(np.argmax(excess))  # the first NaN, if any
+    assert excess[i] <= 0.0, f"draw {i}: {actual[i]!r} vs {desired[i]!r}"
 
 
 BENCH_ENTRIES = {

@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -144,14 +144,6 @@ class TestRunReport:
         rep = run_report(states, QUICK, LogBase.BITS)
         assert [r.name for r in rep.results] == ["b", "a"]
 
-    def test_analytic_column_base_consistency(self):
-        states = [("rho1", xstate_from_entries(*BENCH_ENTRIES["rho1"]))]
-        bits = run_report(states, QUICK, LogBase.BITS).results[0]
-        nats = run_report(states, QUICK, LogBase.NATS).results[0]
-        assert abs(nats.delta2 - bits.delta2 * math.log(2.0)) <= 1e-9
-        assert abs(nats.delta3_min - bits.delta3_min * math.log(2.0)) <= 1e-4
-        assert abs(nats.delta2_min - bits.delta2_min * math.log(2.0)) <= 1e-4
-
     def test_nats_is_bits_times_ln2(self):
         # one solve in bits: the witness columns are the same in both
         # bases, and each discord value or gap is the bits one times ln 2
@@ -168,18 +160,6 @@ class TestRunReport:
                     assert abs(n - b * math.log(2.0)) <= math.ulp(n), (rb.name, name)
                 else:
                     assert n == b, (rb.name, name)
-
-    def test_zero_probability_states_keep_delta3_nonnegative(self):
-        # A = 1, A = -1 and a product state: an outcome of probability 0
-        # and a degenerate (projective) optimum, whose triangle angles
-        # the search must take as exactly as the rebuilt witness does
-        states = [
-            ("a_plus1", xstate_from_entries(0.5, 0.0, 0.5, 0.0, 0.0, 0.0)),
-            ("a_minus1", xstate_from_entries(0.0, 0.5, 0.0, 0.5, 0.0, 0.0)),
-            ("product", xstate_from_entries(0.28, 0.42, 0.12, 0.18, 0.0, 0.0)),
-        ]
-        for r in run_report(states, SearchConfig(), LogBase.BITS).results:
-            assert r.delta3_min >= -1e-12, r.name
 
     def test_yaxis_pair_has_zero_axis_discord(self):
         # t1 = 0, t2 = -0.8 and its eps-flipped partner t1 = 0.8, t2 = 0:
@@ -322,8 +302,14 @@ def test_report_equality_and_types():
 PACKAGE_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(edge_xstates())
+# A = 1, A = -1 and a product state: an outcome of probability 0 and a
+# degenerate (projective) optimum, whose triangle angles the solve must
+# take as exactly as the rebuilt witness does
+@example((0.5, 0.0, 0.5, 0.0, 0.0, 0.0))
+@example((0.0, 0.5, 0.0, 0.5, 0.0, 0.0))
+@example((0.28, 0.42, 0.12, 0.18, 0.0, 0.0))
 def test_edge_states_valid_or_typed_error(entries):
     s = xstate_from_entries(*entries)
     try:
@@ -341,15 +327,19 @@ def test_edge_states_valid_or_typed_error(entries):
     assert abs(discord_given_conditional_entropy(s, ce, None).value - r.delta3_min) <= 1e-8
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(st.one_of(positive_xstates(), edge_xstates()))
 def test_discords_invariant_under_local_x(entries):
     # X on qubit A maps the entries to (c, d, a, b, delta, eps), X on
-    # qubit B to (b, a, d, c, delta, eps); local unitaries move no discord
+    # qubit B to (b, a, d, c, delta, eps), and S on both qubits to
+    # (a, b, c, d, -eps, delta); local unitaries move no discord, and the
+    # eps flip, which only swaps t1 and t2, moves none by over 1e-15
     a, b, c, d, eps, delta = entries
-    images = {"x_on_a": (c, d, a, b, delta, eps), "x_on_b": (b, a, d, c, delta, eps)}
+    images = {"x_on_a": (c, d, a, b, delta, eps), "x_on_b": (b, a, d, c, delta, eps),
+              "eps_flip": (a, b, c, d, -eps, delta)}
     states = [(name, xstate_from_entries(*e)) for name, e in {"id": entries, **images}.items()]
     r, *moved = run_report(states, SearchConfig(), LogBase.BITS).results
     for m in moved:
+        tol = 1e-15 if m.name == "eps_flip" else 1e-12
         for field in ("delta3_min", "delta2_min", "delta2"):
-            assert abs(getattr(m, field) - getattr(r, field)) <= 1e-12, (m.name, field)
+            assert abs(getattr(m, field) - getattr(r, field)) <= tol, (m.name, field)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import BENCH_ENTRIES, EDGE_WEIGHTS
+from conftest import BENCH_ENTRIES, EDGE_WEIGHTS, assert_each_close
 from oracles import (
     I2,
     bloch_element,
@@ -151,11 +151,13 @@ class TestConditionalEntropyPovm3:
             for entries in (*BENCH_ENTRIES.values(), A_PLUS1_ENTRIES):
                 for e in rng.uniform(0.0, 2.0 * math.pi, size=(20, 3)):
                     cases.append((entries, build_povm3(PovmWeights(*mus), EulerAngles(*e)), 1e-12))
+        ours, dense, tols = [], [], []
         for entries, p, tol in cases:
             s = xstate_from_entries(*entries)
-            ours = conditional_entropy_povm3(s, p, LogBase.BITS)
-            dense = ce_povm_oracle(dense_xmatrix(*entries), p.weights.as_array(), p.dirs)
-            assert_allclose(ours, dense, rtol=0.0, atol=tol)
+            ours.append(conditional_entropy_povm3(s, p, LogBase.BITS))
+            dense.append(ce_povm_oracle(dense_xmatrix(*entries), p.weights.as_array(), p.dirs))
+            tols.append(tol)
+        assert_each_close(ours, dense, atol=tols)
 
     def test_projective_limit(self, bench_states, rng):
         s = bench_states["rho3"]

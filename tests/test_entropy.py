@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import assert_each_close
 from oracles import (
     dense_xmatrix,
     entropy_of_matrix,
@@ -127,14 +128,13 @@ class TestVonNeumannXstate:
 
     @pytest.mark.criterion(7)
     def test_random_states_match_dense_oracle(self, rng):
+        ours, dense = [], []
         for _ in range(10_000):
             e = random_xstate_entries(rng)
-            s = xstate_from_entries(*e)
-            assert_allclose(
-                von_neumann_xstate(s, LogBase.BITS),
-                entropy_of_matrix(dense_xmatrix(*e)),
-                atol=1e-10,
-            )
+            ours.append(von_neumann_xstate(xstate_from_entries(*e), LogBase.BITS))
+            dense.append(entropy_of_matrix(dense_xmatrix(*e)))
+        # assert_allclose's default rtol
+        assert_each_close(ours, dense, atol=1e-10, rtol=1e-7)
 
     def test_base_consistency(self, rng):
         for _ in range(1000):
@@ -175,9 +175,10 @@ class TestMutualInformation:
         assert_allclose(mutual_information(s, LogBase.BITS), dense, atol=1e-10)
 
     def test_nonnegative(self, rng):
-        for _ in range(10_000):
-            s = xstate_from_entries(*random_xstate_entries(rng))
-            assert mutual_information(s, LogBase.BITS) >= -1e-10
+        states = [xstate_from_entries(*random_xstate_entries(rng)) for _ in range(10_000)]
+        mi = [mutual_information(s, LogBase.BITS) for s in states]
+        i = int(np.argmin(mi))
+        assert mi[i] >= -1e-10, f"draw {i}: {mi[i]!r}"
 
     def test_base_consistency(self, rng):
         for _ in range(1000):

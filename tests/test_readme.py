@@ -1,11 +1,14 @@
-"""The README's API list, scan budget and benchmark table against the
-package."""
+"""The README's API list, library example, state-file example, scan
+budget and benchmark table against the package."""
 
+import csv
+import io
+import json
 import re
 from pathlib import Path
 
 import xdiscord
-from xdiscord.cli import load_benchmarks, render_table, run_report
+from xdiscord.cli import load_benchmarks, main, render_table, run_report
 from xdiscord.entropy import LogBase
 from xdiscord.optimizer import REFINE_POINTS, SearchConfig, minimize_projective
 
@@ -39,6 +42,27 @@ def test_library_names_are_the_public_api():
     namespace = {}
     exec("from xdiscord import *", namespace)
     assert set(xdiscord.__all__) <= set(namespace)
+
+
+def test_library_example_runs(capsys):
+    namespace = {}
+    exec(_fenced_after(README, "## Library"), namespace)
+    value = namespace["d3"].value
+    assert capsys.readouterr().out.split()[0] == str(value)
+    # the example's state is rho1, whose delta3_min the benchmark table shows
+    assert f" rho1 {value:.6f} " in WORDS
+
+
+def test_state_file_example_validates_and_runs(tmp_path, capsys):
+    f = tmp_path / "states.json"
+    f.write_text(_fenced_after(README, "takes a JSON file"))
+    names = [record["name"] for record in json.loads(f.read_text())]
+    assert main(["validate", "--states", str(f)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(f"{name}: ok" in lines for name in names)
+    assert main(["run", "--states", str(f), "--base", "nats", "--format", "csv"]) == 0
+    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert [(r["name"], r["base"]) for r in rows] == [(name, "nats") for name in names]
 
 
 def test_benchmark_table_matches_run():
