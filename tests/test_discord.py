@@ -268,26 +268,26 @@ class TestDiscordAssembly:
 
 class TestAliCandidate:
     @pytest.mark.criterion(1)
-    def test_benchmark_values_bits(self, bench_states):
-        targets = {"rho1": 0.127575, "rho2": 0.108773, "rho3": 0.132751}
-        for name, target in targets.items():
-            dv = ali_candidate(bench_states[name], LogBase.BITS)
-            assert abs(dv.value - target) <= 1e-5
+    @pytest.mark.parametrize("name, target",
+                             [("rho1", 0.127575), ("rho2", 0.108773), ("rho3", 0.132751)])
+    def test_benchmark_values_bits(self, bench_states, name, target):
+        assert abs(ali_candidate(bench_states[name], LogBase.BITS).value - target) <= 1e-5
 
-    def test_benchmark_values_nats(self, bench_states):
-        targets = {"rho1": 0.088428, "rho2": 0.075396, "rho3": 0.092016}
-        for name, target in targets.items():
-            dv = ali_candidate(bench_states[name], LogBase.NATS)
-            assert abs(dv.value - target) <= 1e-5 * math.log(2.0)
+    @pytest.mark.parametrize("name, target",
+                             [("rho1", 0.088428), ("rho2", 0.075396), ("rho3", 0.092016)])
+    def test_benchmark_values_nats(self, bench_states, name, target):
+        dv = ali_candidate(bench_states[name], LogBase.NATS)
+        assert abs(dv.value - target) <= 1e-5 * math.log(2.0)
 
-    def test_witness_is_one_of_the_axes(self, bench_states):
+    @pytest.mark.parametrize("name", [*BENCH_ENTRIES, "yaxis"])
+    def test_witness_is_one_of_the_axes(self, name):
         axes = {"x": X_AXIS, "y": Y_AXIS, "z": Z_AXIS}
-        yaxis = xstate_from_entries(*YAXIS_ENTRIES)
-        for s in [*bench_states.values(), yaxis]:
-            dv = ali_candidate(s, LogBase.BITS)
-            assert dv.witness["axis"] in axes
-            assert tuple(dv.witness["direction"]) == axes[dv.witness["axis"]]
-        assert ali_candidate(yaxis, LogBase.BITS).witness["axis"] == "y"
+        entries = YAXIS_ENTRIES if name == "yaxis" else BENCH_ENTRIES[name]
+        dv = ali_candidate(xstate_from_entries(*entries), LogBase.BITS)
+        assert dv.witness["axis"] in axes
+        assert tuple(dv.witness["direction"]) == axes[dv.witness["axis"]]
+        if name == "yaxis":
+            assert dv.witness["axis"] == "y"
 
     def test_value_is_min_over_axes(self, rng):
         for _ in range(200):
@@ -298,8 +298,8 @@ class TestAliCandidate:
             ce_y = conditional_entropy_projective(s, Y_AXIS, LogBase.BITS)
             assert_allclose(dv.conditional_entropy, min(ce_z, ce_x, ce_y), atol=1e-15)
 
-    def test_base_consistency(self, bench_states):
-        for s in bench_states.values():
-            bits = ali_candidate(s, LogBase.BITS).value
-            nats = ali_candidate(s, LogBase.NATS).value
-            assert_allclose(nats, bits * math.log(2.0), atol=1e-12)
+    @pytest.mark.parametrize("name", BENCH_ENTRIES)
+    def test_base_consistency(self, bench_states, name):
+        bits = ali_candidate(bench_states[name], LogBase.BITS).value
+        nats = ali_candidate(bench_states[name], LogBase.NATS).value
+        assert_allclose(nats, bits * math.log(2.0), atol=1e-12)
