@@ -123,6 +123,10 @@ class TestParseStateFile:
 
 
 class TestRunReport:
+    def test_maximally_mixed_all_strategies_zero(self):
+        r = mixed_report().results[0]
+        assert max(abs(r.delta3_min), abs(r.delta2_min), abs(r.delta2)) <= 1e-6
+
     def test_diffs_recomputed_from_values(self):
         rep = mixed_report()
         for r in rep.results:
