@@ -136,16 +136,27 @@ def _plane_kernel(s: XState, base: LogBase):
     return lambda mz: _outcome_term(bp, tmax * (1.0 - mz * mz), mz, scale)
 
 
-def _plane_objective(s: XState, base: LogBase):
-    """conditional_entropy_plane(s, ., base): G at +-nz in one call."""
+def _plane_halves(s: XState, base: LogBase):
+    """(G(nz), G(-nz)), stacked, in one kernel call, vectorized over nz."""
     g = _plane_kernel(s, base)
 
-    def f(nz):
+    def halves(nz):
         nz = np.asarray(nz, dtype=float)
-        up, down = g(np.concatenate((nz, -nz), axis=None)).reshape((2, *nz.shape))
-        return 0.5 * up + 0.5 * down
+        return g(np.concatenate((nz, -nz), axis=None)).reshape((2, *nz.shape))
 
-    return f
+    return halves
+
+
+def _plane_mean(halves):
+    """conditional_entropy_plane from _plane_halves' values."""
+    up, down = halves
+    return 0.5 * up + 0.5 * down
+
+
+def _plane_objective(s: XState, base: LogBase):
+    """conditional_entropy_plane(s, ., base): G at +-nz in one call."""
+    halves = _plane_halves(s, base)
+    return lambda nz: _plane_mean(halves(nz))
 
 
 def conditional_entropy_plane(s: XState, nz, base: LogBase = LogBase.BITS):

@@ -24,6 +24,15 @@ min_z G(z) - lam z for any lam. From the chord of G through the
 witness's support, a few simplex steps in lam meet it within 1e-12.
 That bound is exact to its scans' resolution, not an interval bound.
 
+The projective solve's first scan reads the same bound for free: its
+points give G at +-nz, the whole of [-1, 1], and lam is the chord
+slope of G at the better axis. When the bound meets that axis's value
+(within CERT_TOL), the axis, an Ali-Rau-Alber candidate, is optimal
+over all POVMs to the scan's resolution, and both solves stop there:
+no later projective scans, no mirror solve. Only a first scan of at
+least REFINE_POINTS points is trusted for this; a coarser one can miss
+a dip of G below the chord.
+
 Either 3-element witness is a planar triangle that _plane_euler turns
 into the plane of the solves, its first direction on the mirror
 triangle's pole or on the projective axis.
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import _mirror_objective, _plane_objective, mirror_weights, plane_direction
+from .discord import _mirror_objective, _plane_halves, _plane_mean, mirror_weights, plane_direction
 from .entropy import LogBase
 from .povm import TRIANGLE_MARGIN, EulerAngles, PovmWeights
 from .qstate import XState
@@ -54,6 +63,9 @@ REFINE_TOL = 1e-10
 # points of each scan after the first, which narrows its bracket 100-fold:
 # four take the 1e-3 or 2e-3 a default first scan leaves to REFINE_TOL
 REFINE_POINTS = 201
+# slack of the axis certificate: at the z axis the chord meets G at
+# +-1, so the bound equals the axis's value up to rounding
+CERT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,14 @@ class OptResult:
     best_value. n_evals counts the objective evaluations of the
     search's own 1-D solve, over all its scans, and
     converged reports whether the solve that produced best_value
-    narrowed its bracket to REFINE_TOL.
+    narrowed its bracket to REFINE_TOL. lower_bound is a lower bound
+    on the conditional entropy of every POVM, read from a projective
+    first scan of at least REFINE_POINTS points, and -inf without one;
+    it is exact to that scan's resolution. When it is within CERT_TOL
+    of the projective value, that axis is certified: the projective
+    search stops after its first scan, n_evals counting that scan,
+    the 3-element search solves nothing, n_evals 0, and both report
+    converged.
     """
 
     best_value: float
@@ -89,20 +108,31 @@ class OptResult:
     best_weights: PovmWeights | None = None
     best_euler: EulerAngles | None = None
     best_direction: tuple[float, float, float] | None = None
+    lower_bound: float = -math.inf
 
 
-def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig):
+def _scan(f, lo: float, hi: float, ramp):
+    """(grid, f(grid)) on len(ramp) evenly spaced points of [lo, hi],
+    both ends included, ramp = arange(len(ramp)): linspace's arithmetic."""
+    grid = ramp * ((hi - lo) / (len(ramp) - 1)) + lo
+    grid[-1] = hi
+    return grid, f(grid)
+
+
+def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig, first=None):
     """Minimize the vectorized f over [lo, hi] by the repeated scans of
-    the module docstring. Returns (x, f(x), number of f evaluations,
-    converged), x the best point over all rounds."""
-    # linspace's arithmetic; a later scan uses the ramp's leading points
+    the module docstring; first, when given, is the first scan's
+    _scan result, which is not evaluated again. Returns (x, f(x),
+    number of f evaluations, converged), x the best point over all
+    rounds."""
+    # a later scan uses the ramp's leading points
     ramp = np.arange(cfg.n_global_samples, dtype=float)
+    grid, vals = first or _scan(f, lo, hi, ramp)
     best_x, best_f, n_evals = lo, math.inf, 0
-    for _ in range(cfg.n_refine_iters):
-        n = len(ramp)
-        grid = ramp * ((hi - lo) / (n - 1)) + lo
-        grid[-1] = hi
-        vals = f(grid)
+    for k in range(cfg.n_refine_iters):
+        if k:
+            grid, vals = _scan(f, lo, hi, ramp[:REFINE_POINTS])
+        n = len(grid)
         n_evals += n
         i = int(np.argmin(vals))
         if vals[i] < best_f:
@@ -110,7 +140,6 @@ def _solve_1d(f, lo: float, hi: float, cfg: SearchConfig):
         lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, n - 1)])
         if hi - lo <= REFINE_TOL:
             break
-        ramp = ramp[:REFINE_POINTS]
     return best_x, best_f, n_evals, hi - lo <= REFINE_TOL
 
 
@@ -122,15 +151,36 @@ def minimize_projective(
     Exact up to REFINE_TOL: the optimal axis lies in the plane of
     conditional_entropy_plane, whose z-component nz is solved over
     [0, 1]; both endpoints, the ali_candidate axes, are scanned. The
-    direction returned lies in the xz or the yz plane.
+    direction returned lies in the xz or the yz plane. The first scan
+    gives lower_bound, and the better axis returns at once when the
+    bound certifies it (module docstring).
     """
-    nz, value, n_evals, converged = _solve_1d(_plane_objective(s, base), 0.0, 1.0, cfg)
+    halves = _plane_halves(s, base)
+    grid, (up, down) = _scan(halves, 0.0, 1.0, np.arange(cfg.n_global_samples, dtype=float))
+    vals = _plane_mean((up, down))
+    # the better axis, ties to the transverse one as in the scan's argmin
+    i = 0 if vals[0] <= vals[-1] else -1
+    lower_bound = -math.inf
+    if len(grid) >= REFINE_POINTS:
+        if i:  # the z axis: the chord of G through -1 and 1
+            lam = 0.5 * (up[-1] - down[-1])
+        else:  # the transverse axis: between G's one-sided slopes at 0
+            z = grid[1:]
+            lam = 0.5 * (np.max((up[0] - down[1:]) / z) + np.min((up[1:] - up[0]) / z))
+        lower_bound = float(min(np.min(up - lam * grid), np.min(down + lam * grid)))
+    if lower_bound >= vals[i] - CERT_TOL:
+        nz, value, n_evals, converged = float(grid[i]), float(vals[i]), len(grid), True
+    else:
+        nz, value, n_evals, converged = _solve_1d(
+            lambda nz: _plane_mean(halves(nz)), 0.0, 1.0, cfg, (grid, vals)
+        )
     return OptResult(
         best_value=value,
         n_evals=n_evals,
         converged=converged,
         base=base,
         best_direction=plane_direction(s, nz),
+        lower_bound=lower_bound,
     )
 
 
@@ -162,8 +212,9 @@ def minimize_povm3(
     The better of the mirror-triangle solve over t in
     [-MIRROR_T_HI, MIRROR_T_HI] and proj, which must be
     minimize_projective(s, cfg, base) and is solved here when omitted;
-    proj wins ties. A proj without best_direction or of another base
-    raises ValueError.
+    proj wins ties, and a proj whose lower_bound certifies it wins
+    with no mirror solve. A proj without best_direction or of another
+    base raises ValueError.
     The witness rebuilds through povm.build_povm3: the mirror triangle
     itself, or, when proj wins, the (WEIGHT_HI, WEIGHT_HI, 1 - 2 WEIGHT_HI)
     triple with its first direction on proj's axis, whose value is
@@ -173,10 +224,12 @@ def minimize_povm3(
         proj = minimize_projective(s, cfg, base)
     elif proj.best_direction is None or proj.base is not base:
         raise ValueError(f"proj must be minimize_projective(s, cfg, base) in {base.value}")
-    mirror = _mirror_objective(s, base)
-    t, value, n_evals, converged = _solve_1d(
-        lambda t: mirror(_mirror_t(t)), -MIRROR_T_HI, MIRROR_T_HI, cfg
-    )
+    value, n_evals = math.inf, 0
+    if proj.lower_bound < proj.best_value - CERT_TOL:
+        mirror = _mirror_objective(s, base)
+        t, value, n_evals, converged = _solve_1d(
+            lambda t: mirror(_mirror_t(t)), -MIRROR_T_HI, MIRROR_T_HI, cfg
+        )
     if value < proj.best_value:
         t = float(_mirror_t(t))
         mu1, mu2 = mirror_weights(t)
@@ -193,4 +246,5 @@ def minimize_povm3(
         base=base,
         best_weights=weights,
         best_euler=_plane_euler(s, n),
+        lower_bound=proj.lower_bound,
     )
