@@ -14,7 +14,6 @@ from .discord import (
     conditional_entropy_povm3,
     conditional_entropy_projective,
     discord_given_conditional_entropy,
-    e_function,
 )
 from .entropy import LogBase, binary_entropy, mutual_information, von_neumann_xstate
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
     ParseError,
     PositivityError,
     TraceError,
-    ZeroProbabilityError,
 )
 from .optimizer import OptResult, SearchConfig, minimize_povm3, minimize_projective
 from .povm import (
@@ -52,7 +50,6 @@ __all__ = [
     "TraceError",
     "TriangleAngles",
     "XState",
-    "ZeroProbabilityError",
     "ali_candidate",
     "angles_from_weights",
     "binary_entropy",
@@ -61,7 +58,6 @@ __all__ = [
     "conditional_entropy_povm3",
     "conditional_entropy_projective",
     "discord_given_conditional_entropy",
-    "e_function",
     "eigenvalues",
     "minimize_povm3",
     "minimize_projective",

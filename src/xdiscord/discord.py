@@ -14,9 +14,9 @@ Projective measurements reduce to one variable (conditional_entropy_plane),
 whose endpoints give delta2: the better of the z axis and the larger
 transverse axis, as in Ali-Rau-Alber (ali_candidate). The 3-element
 search runs over one variable too, the mirror-symmetric triangle of
-conditional_entropy_mirror. Both read G(z), the term of the direction
-with z-component z in the plane of the two (_plane_kernel); a solve
-builds each once (_plane_objective, _mirror_objective), with the
+_mirror_objective. Both read G(z), the term of the direction with
+z-component z in the plane of the two (_plane_kernel); a solve builds
+each objective once (_plane_halves, _mirror_objective), with the
 state's constants and the pole terms G(+-1) fixed there, so a call is
 one kernel call. conditional_entropy_projective and
 conditional_entropy_povm3 take general directions.
@@ -31,7 +31,6 @@ from typing import Any
 import numpy as np
 
 from .entropy import LogBase, _h, _scale, marginal_entropy_b, von_neumann_xstate
-from .errors import ZeroProbabilityError
 from .povm import Povm3
 from .qstate import XState, bloch_params
 
@@ -52,9 +51,11 @@ class DiscordValue:
 def _bloch_length(bp, tt, mz):
     """(1 + A mz, E clamped to [0, 1]) of the outcome directions with
     z-component mz and transverse part tt = (t1 mx)^2 + (t2 my)^2,
-    vectorized; E divides by 1 + A mz floored at PROB_FLOOR."""
-    den = 1.0 + bp.A * mz
-    e = np.sqrt(tt + (bp.t3 * mz + bp.B) ** 2) / np.maximum(den, PROB_FLOOR)
+    vectorized; E divides by 1 + A mz floored at PROB_FLOOR. It squares
+    by a product: ** 2 of a numpy scalar is libm pow, which can round
+    1 ulp away from the same square in an array."""
+    den, u = 1.0 + bp.A * mz, bp.t3 * mz + bp.B
+    e = np.sqrt(tt + u * u) / np.maximum(den, PROB_FLOOR)
     return den, np.minimum(e, 1.0)  # e >= 0 already
 
 
@@ -79,20 +80,6 @@ def _check_unit(m) -> np.ndarray:
     if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
         raise ValueError(f"direction norm {norm!r} deviates from 1")
     return m
-
-
-def e_function(s: XState, m) -> float:
-    """Bloch length of subsystem A after outcome direction m, clamped to [0, 1].
-
-    Raises ZeroProbabilityError when 1 + A*mz <= 1e-12: the outcome
-    never occurs and its entropy term must be skipped by the caller.
-    """
-    m = _check_unit(m)
-    bp = bloch_params(s)
-    den, e = _bloch_length(bp, _transverse(bp, m), m[2])
-    if not den > PROB_FLOOR:
-        raise ZeroProbabilityError(f"outcome probability factor {float(den)!r} vanishes")
-    return float(e)
 
 
 def conditional_entropy_povm3(s: XState, p: Povm3, base: LogBase = LogBase.BITS) -> float:
@@ -153,12 +140,6 @@ def _plane_mean(halves):
     return 0.5 * up + 0.5 * down
 
 
-def _plane_objective(s: XState, base: LogBase):
-    """conditional_entropy_plane(s, ., base): G at +-nz in one call."""
-    halves = _plane_halves(s, base)
-    return lambda nz: _plane_mean(halves(nz))
-
-
 def conditional_entropy_plane(s: XState, nz, base: LogBase = LogBase.BITS):
     """Projective conditional entropy at plane_direction(s, nz), vectorized over nz.
 
@@ -167,18 +148,26 @@ def conditional_entropy_plane(s: XState, nz, base: LogBase = LogBase.BITS):
     the transverse axis with the larger |t|; this is the exact 1-D
     reduction the projective search runs over nz in [0, 1].
     """
-    return _plane_objective(s, base)(nz)
+    return _plane_mean(_plane_halves(s, base)(nz))
 
 
 def mirror_weights(t):
     """Weights (mu1, mu2) of the pole and of each mirror direction of
-    the triangle of conditional_entropy_mirror at t."""
+    the triangle of _mirror_objective at t."""
     mu2 = 0.5 / (1.0 + abs(t))
     return 1.0 - 2.0 * mu2, mu2
 
 
 def _mirror_objective(s: XState, base: LogBase):
-    """conditional_entropy_mirror(s, ., base): G(+-1) once, G at -t per call."""
+    """3-element conditional entropy of the mirror-symmetric triangle at
+    t in [-1, 1], vectorized over t; G(+-1) once, G at -t per call.
+
+    The pole (0, 0, sign t) has weight mu1 and each of the mirror pair
+    (+-sqrt(1 - t^2), 0, -t), in the plane of plane_direction, weight
+    mu2 = 1 / (2 (1 + |t|)), which completeness fixes. The two halves
+    meet at t = 0, the transverse-axis measurement, and each ends at
+    the z-axis measurement.
+    """
     g = _plane_kernel(s, base)
     south, north = g(np.array([-1.0, 1.0]))
 
@@ -189,19 +178,6 @@ def _mirror_objective(s: XState, base: LogBase):
         return mu1 * np.where(t < 0.0, south, north) + 2.0 * mu2 * g(-t)
 
     return f
-
-
-def conditional_entropy_mirror(s: XState, t, base: LogBase = LogBase.BITS):
-    """3-element conditional entropy of the mirror-symmetric triangle at
-    t in [-1, 1], vectorized over t.
-
-    The pole (0, 0, sign t) has weight mu1 and each of the mirror pair
-    (+-sqrt(1 - t^2), 0, -t), in the plane of plane_direction, weight
-    mu2 = 1 / (2 (1 + |t|)), which completeness fixes. The two halves
-    meet at t = 0, the transverse-axis measurement, and each ends at
-    the z-axis measurement.
-    """
-    return _mirror_objective(s, base)(t)
 
 
 def ali_candidate(s: XState, base: LogBase = LogBase.BITS) -> DiscordValue:

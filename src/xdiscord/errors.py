@@ -17,9 +17,5 @@ class DegenerateError(ValueError):
     """POVM weight triple lies on or outside the admissible region boundary."""
 
 
-class ZeroProbabilityError(ValueError):
-    """Measurement outcome has vanishing probability; its entropy term is undefined."""
-
-
 class ParseError(ValueError):
     """State file is malformed."""

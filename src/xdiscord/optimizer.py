@@ -6,7 +6,7 @@ interval, endpoints included, as interior optima exist, each later one
 of min(REFINE_POINTS, n_global_samples) points over the two cells
 either side of the previous scan's best point, a bracket holding one
 minimum, until it is at most REFINE_TOL or n_refine_iters scans have
-run. A solve builds its objective once (discord._plane_objective,
+run. A solve builds its objective once (discord._plane_halves,
 _mirror_objective), so each scan is one kernel call.
 
 Projective case: an optimal axis lies in the plane of z and the
@@ -14,7 +14,7 @@ transverse axis with the larger |t|, so the solve runs over the axis's
 z-component nz in [0, 1] (discord.conditional_entropy_plane).
 
 3-element case: the solve runs over the mirror-symmetric triangle of
-discord.conditional_entropy_mirror, a pole on the z axis and a mirror
+discord._mirror_objective, a pole on the z axis and a mirror
 pair in the same plane, and the result is the better of it and the
 projective optimum. The tests certify it against every POVM, with any
 number of outcomes, by 1-D LP duality: an outcome's term g(m) is at
@@ -41,6 +41,7 @@ triangle's pole or on the projective axis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +71,18 @@ CERT_TOL = 1e-13
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets of the 1-D solves: points of the first scan (at least 4,
-    so a scan narrows its bracket) and the cap on scan rounds."""
+    """Budgets of the 1-D solves, integers: points of the first scan (at
+    least 4, so a scan narrows its bracket) and the cap on scan rounds."""
 
     n_global_samples: int = 2001
     n_refine_iters: int = 400
 
     def __post_init__(self):
-        if self.n_global_samples < 4 or self.n_refine_iters < 1:
+        try:  # numpy integers pass, floats and NaN do not
+            n, iters = operator.index(self.n_global_samples), operator.index(self.n_refine_iters)
+        except TypeError:
+            raise ValueError(f"counts must be integers in {self}") from None
+        if n < 4 or iters < 1:
             raise ValueError(f"counts too small in {self}")
 
 

@@ -19,16 +19,16 @@ from oracles import (
     sample_weights,
 )
 from xdiscord.discord import (
+    _bloch_length,
     _plane_kernel,
+    _transverse,
     ali_candidate,
     conditional_entropy_povm3,
     conditional_entropy_projective,
     discord_given_conditional_entropy,
-    e_function,
     plane_direction,
 )
 from xdiscord.entropy import LogBase
-from xdiscord.errors import ZeroProbabilityError
 from xdiscord.povm import EulerAngles, Povm3, PovmWeights, build_povm3
 from xdiscord.qstate import bloch_params, xstate_from_entries
 
@@ -44,58 +44,6 @@ def random_povm(rng):
     w = sample_weights(rng)
     e = EulerAngles(*rng.uniform(0.0, 2.0 * math.pi, size=3))
     return build_povm3(w, e)
-
-
-class TestEFunction:
-    def test_maximally_mixed_vanishes(self, mixed_state, rng):
-        for _ in range(20):
-            assert e_function(mixed_state, random_unit_vector(rng)) == 0.0
-
-    def test_pure_b_coefficient_state(self):
-        # A = 0, B = 0.5, all t_i = 0: only the constant term survives
-        s = xstate_from_entries(0.375, 0.375, 0.125, 0.125, 0.0, 0.0)
-        assert_allclose(e_function(s, Z_AXIS), 0.5, atol=1e-15)
-
-    def test_rho1_z_axis_closed_form(self, bench_states):
-        s = bench_states["rho1"]
-        bp = bloch_params(s)
-        expected = abs(bp.t3 + bp.B) / (1.0 + bp.A)
-        assert_allclose(e_function(s, Z_AXIS), expected, atol=1e-14)
-
-    def test_sign_symmetry_in_xy(self, bench_states, rng):
-        s = bench_states["rho2"]
-        for _ in range(200):
-            m = random_unit_vector(rng)
-            flipped_x = (-m[0], m[1], m[2])
-            flipped_y = (m[0], -m[1], m[2])
-            assert abs(e_function(s, m) - e_function(s, flipped_x)) <= 1e-15
-            assert abs(e_function(s, m) - e_function(s, flipped_y)) <= 1e-15
-
-    def test_zero_probability_error(self):
-        s = xstate_from_entries(0.0, 0.5, 0.0, 0.5, 0.0, 0.0)  # A = -1
-        with pytest.raises(ZeroProbabilityError):
-            e_function(s, Z_AXIS)
-
-    def test_non_unit_direction_rejected(self, mixed_state):
-        with pytest.raises(ValueError):
-            e_function(mixed_state, (1.0, 1.0, 0.0))
-
-    @pytest.mark.parametrize("m", [(0.0, 0.0, 0.0, 1.0), (0.0, 1.0), [[0.0, 0.0, 1.0]]])
-    def test_non_3_vector_rejected(self, bench_states, m):
-        # a unit 4-vector or a 1x3 row is not a direction
-        for f in (e_function, conditional_entropy_projective):
-            with pytest.raises(ValueError, match="3 components"):
-                f(bench_states["rho1"], m)
-
-    def test_clamped_to_unit_interval(self, rng):
-        for _ in range(500):
-            s = xstate_from_entries(*random_xstate_entries(rng))
-            m = random_unit_vector(rng)
-            try:
-                e = e_function(s, m)
-            except ZeroProbabilityError:
-                continue
-            assert 0.0 <= e <= 1.0
 
 
 class TestConditionalEntropyPovm3:
@@ -184,33 +132,64 @@ class TestConditionalEntropyProjective:
 
     @pytest.mark.criterion(7)
     def test_dense_oracle_equivalence(self, rng):
-        for _ in range(1000):
-            entries = random_xstate_entries(rng)
-            s = xstate_from_entries(*entries)
-            n = random_unit_vector(rng)
-            ours = conditional_entropy_projective(s, n, LogBase.BITS)
+        cases = [(random_xstate_entries(rng), random_unit_vector(rng)) for _ in range(1000)]
+        # the z axis of the bundled states, and of A = 0, B = 0.5 with all
+        # t_i = 0, where only the constant term B survives
+        for entries in (*BENCH_ENTRIES.values(), (0.375, 0.375, 0.125, 0.125, 0.0, 0.0)):
+            cases.append((entries, Z_AXIS))
+        for entries, n in cases:
+            ours = conditional_entropy_projective(xstate_from_entries(*entries), n, LogBase.BITS)
             dense = ce_projective_oracle(dense_xmatrix(*entries), n)
             assert_allclose(ours, dense, atol=1e-10)
 
     def test_antipodal_symmetry(self, bench_states, rng):
-        s = bench_states["rho1"]
-        for _ in range(100):
-            n = random_unit_vector(rng)
-            assert_allclose(
-                conditional_entropy_projective(s, n, LogBase.BITS),
-                conditional_entropy_projective(s, -n, LogBase.BITS),
-                atol=1e-14,
-            )
+        # and the sign flips of nx and of ny, all exact: the terms see
+        # mx and my squared, and -n swaps the two outcomes
+        for name in ("rho1", "rho2"):
+            s = bench_states[name]
+            for _ in range(200):
+                n = random_unit_vector(rng)
+                ce = conditional_entropy_projective(s, n, LogBase.BITS)
+                for image in (-n, n * (-1.0, 1.0, 1.0), n * (1.0, -1.0, 1.0)):
+                    assert conditional_entropy_projective(s, image, LogBase.BITS) == ce
 
-    def test_nan_direction_rejected(self, bench_states):
-        with pytest.raises(ValueError):
-            conditional_entropy_projective(bench_states["rho1"], (math.nan, 0.0, 1.0))
+    @pytest.mark.parametrize("n, match", [
+        ((math.nan, 0.0, 1.0), "norm"),
+        ((1.0, 1.0, 0.0), "norm"),
+        # a unit 4-vector or a 1x3 row is not a direction
+        ((0.0, 0.0, 0.0, 1.0), "3 components"),
+        ((0.0, 1.0), "3 components"),
+        ([[0.0, 0.0, 1.0]], "3 components"),
+    ])
+    def test_bad_direction_rejected(self, bench_states, n, match):
+        with pytest.raises(ValueError, match=match):
+            conditional_entropy_projective(bench_states["rho1"], n)
 
     def test_extreme_marginal_state(self):
         # A = -1 makes the +z outcome impossible; its term is 0
         s = xstate_from_entries(0.0, 0.5, 0.0, 0.5, 0.0, 0.0)
         val = conditional_entropy_projective(s, Z_AXIS, LogBase.BITS)
         assert math.isfinite(val)
+
+
+class TestBlochLength:
+    def test_clamped_to_unit_interval(self, mixed_state, rng):
+        # unclamped, E rounds above 1 on about one in five directions of
+        # pure states, and h(E) stays finite there, so E itself is checked
+        def e_of(s, dirs):
+            bp = bloch_params(s)
+            return _bloch_length(bp, _transverse(bp, dirs), dirs[..., 2])[1]
+
+        for _ in range(500):
+            s = xstate_from_entries(*random_xstate_entries(rng))
+            assert 0.0 <= e_of(s, random_unit_vector(rng)) <= 1.0
+        dirs = np.array([random_unit_vector(rng) for _ in range(100)])
+        assert np.all(e_of(mixed_state, dirs) == 0.0)
+        for p in np.linspace(0.0, 1.0, 21):
+            coh = math.sqrt(p * (1.0 - p))
+            for entries in ((p, 0.0, 0.0, 1.0 - p, coh, 0.0), (0.0, p, 1.0 - p, 0.0, 0.0, -coh)):
+                e = e_of(xstate_from_entries(*entries), dirs)
+                assert 1.0 - 1e-14 <= e.min() and e.max() <= 1.0, entries
 
 
 class TestPlaneKernel:

@@ -30,9 +30,8 @@ from oracles import (
 )
 from xdiscord import optimizer
 from xdiscord.discord import (
-    _plane_objective,
+    _mirror_objective,
     ali_candidate,
-    conditional_entropy_mirror,
     conditional_entropy_plane,
     conditional_entropy_povm3,
     conditional_entropy_projective,
@@ -69,13 +68,18 @@ class TestSearchConfig:
     def test_defaults_valid(self):
         cfg = SearchConfig()
         assert cfg.n_global_samples == 2001
+        assert SearchConfig(n_global_samples=np.int64(57), n_refine_iters=np.int32(2))
 
     def test_bad_counts_rejected(self):
         # a scan must hold both ends of its interval, and its best point's
-        # two neighbouring cells must not span the whole scan
-        for n in (0, 1, 2, 3):
+        # two neighbouring cells must not span the whole scan; a count
+        # that is not an integer would scan 2002 points for 2001.5, or
+        # fail only inside a solve
+        bad = [{"n_global_samples": n} for n in (0, 1, 2, 3, 2001.5, 2001.0, math.nan)]
+        bad += [{"n_refine_iters": n} for n in (0, 2.5)]
+        for kwargs in bad:
             with pytest.raises(ValueError):
-                SearchConfig(n_global_samples=n)
+                SearchConfig(**kwargs)
 
 
 class TestKernels:
@@ -107,7 +111,7 @@ class TestKernels:
             xstate_from_entries(a, b, c, d, eps, delta),
             xstate_from_entries(a, b, c, d, -eps, delta),
         ]:
-            kernel = conditional_entropy_mirror(s, ts, LogBase.BITS)
+            kernel = _mirror_objective(s, LogBase.BITS)(ts)
             for t, k in zip(ts, kernel):
                 mu1, mu2 = mirror_weights(t)
                 pole = math.copysign(1.0, t)
@@ -130,13 +134,19 @@ class TestObjectiveSeams:
     @example(BENCH_ENTRIES["rho1"])
     @example(BENCH_ENTRIES["rho2"])
     @example(BENCH_ENTRIES["rho3"])
+    # here (t3 mz + B) ** 2 at mz = 0 on a numpy scalar, libm pow, is 1 ulp
+    # above the same square in an array: t = 0 meets the plane only because
+    # the kernel squares by a product
+    @example((0.04498404679321112, 0.0009967804072568078, 0.7590301812006257,
+              0.19498899159890642, 0.0, 0.006876528980603915))
     def test_mirror_meets_plane(self, entries):
         s = xstate_from_entries(*entries)
         for base in LogBase:
+            mirror = _mirror_objective(s, base)
             transverse = conditional_entropy_plane(s, 0.0, base)
             z_axis = conditional_entropy_plane(s, 1.0, base)
             for t, plane in ((0.0, transverse), (-0.0, transverse), (1.0, z_axis), (-1.0, z_axis)):
-                assert conditional_entropy_mirror(s, t, base) == plane, (t, base)
+                assert mirror(t) == plane, (t, base)
 
 
 class TestMinimizeProjective:
@@ -310,7 +320,7 @@ class TestSolve1dProperties:
     def test_mirror_solve(self, entries):
         s = xstate_from_entries(*entries)
         t = np.linspace(-MIRROR_T_HI, MIRROR_T_HI, DENSE_POINTS)
-        dense = conditional_entropy_mirror(s, _mirror_t(t)).min()
+        dense = _mirror_objective(s, LogBase.BITS)(_mirror_t(t)).min()
         for cfg in SCAN_CONFIGS:
             res = minimize_povm3(s, cfg, proj=NEVER)
             assert res.converged
@@ -445,7 +455,7 @@ class TestAxisCertificate:
             proj = minimize_projective(s, cfg)
             full = min(
                 minimize_povm3(s, cfg, proj=NEVER).best_value,
-                _solve_1d(_plane_objective(s, LogBase.BITS), 0.0, 1.0, cfg)[1],
+                _solve_1d(lambda nz: conditional_entropy_plane(s, nz), 0.0, 1.0, cfg)[1],
             )
             assert minimize_povm3(s, cfg, proj=proj).best_value <= full + 1e-12, cfg
             if proj.lower_bound >= proj.best_value - CERT_TOL:
@@ -556,11 +566,7 @@ class TestHeadlineBound:
             step[list(src)], step[list(dst)] = -1.0 / len(src), 1.0 / len(dst)
             steps.append(step)
 
-        def gap(e):
-            d3, _, d2 = povm3_discords(e)
-            return d2 - d3
-
-        top, n_moves = gap(entries), 0
+        top, n_moves = self.gap(entries), 0
         for step in steps:
             e = np.add(entries, 1e-5 * step)
             try:
@@ -568,10 +574,32 @@ class TestHeadlineBound:
             except PositivityError:
                 continue
             n_moves += 1
-            assert gap(e) <= top + 1e-10, e
+            assert self.gap(e) <= top + 1e-10, e
         # a = eps = 0 on both states: a move out of a, or of eps, leaves
         # the state set
         assert n_moves == n_valid
+
+    @pytest.mark.parametrize("entries, sources", [
+        (WORST_ENTRIES, ((1,), (2,), (3,))),
+        (WORST_BC_ENTRIES, ((1,), (2,), (3,), (1, 2))),
+    ], ids=["general", "b_equals_c"])
+    def test_no_joint_move_off_the_face_raises_gap(self, entries, sources):
+        # a = h taken from b, c or d, or from b and c together on the b = c
+        # state, with eps at 11 points across its whole range |eps| <= sqrt(a d)
+        top = self.gap(entries)
+        for src, h in itertools.product(sources, (1e-6, 1e-5, 1e-4, 1e-3)):
+            e = np.array(entries)
+            e[0] = h
+            e[list(src)] -= h / len(src)
+            for eps in np.linspace(-1.0, 1.0, 11) * math.sqrt(e[0] * e[3]):
+                e[4] = eps
+                assert self.gap(e) <= top + 1e-10, e
+
+    @staticmethod
+    def gap(entries):
+        """delta2 - delta3_min of the state with these entries."""
+        d3, _, d2 = povm3_discords(entries)
+        return d2 - d3
 
 
 @pytest.mark.criterion(6)
