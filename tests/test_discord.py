@@ -172,19 +172,42 @@ class TestConditionalEntropyProjective:
         assert math.isfinite(val)
 
 
+def e_of(s, dirs):
+    """E of the directions in the last axis of dirs, from _bloch_length."""
+    bp = bloch_params(s)
+    return _bloch_length(bp, _transverse(bp, dirs), dirs[..., 2])[1]
+
+
 class TestBlochLength:
-    def test_clamped_to_unit_interval(self, mixed_state, rng):
+    def test_maximally_mixed_vanishes(self, mixed_state, rng):
+        dirs = np.array([random_unit_vector(rng) for _ in range(100)])
+        assert np.all(e_of(mixed_state, dirs) == 0.0)
+
+    def test_pure_b_coefficient_state(self):
+        # A = 0, B = 0.5, all t_i = 0: only the constant term survives
+        s = xstate_from_entries(0.375, 0.375, 0.125, 0.125, 0.0, 0.0)
+        assert_allclose(e_of(s, np.array(Z_AXIS)), 0.5, atol=1e-15)
+
+    def test_rho1_z_axis_closed_form(self, bench_states):
+        s = bench_states["rho1"]
+        bp = bloch_params(s)
+        expected = abs(bp.t3 + bp.B) / (1.0 + bp.A)
+        assert_allclose(e_of(s, np.array(Z_AXIS)), expected, atol=1e-14)
+
+    def test_sign_symmetry_in_xy(self, bench_states, rng):
+        s = bench_states["rho2"]
+        dirs = np.array([random_unit_vector(rng) for _ in range(200)])
+        e = e_of(s, dirs)
+        for flip in ((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0)):
+            assert np.array_equal(e_of(s, dirs * flip), e)
+
+    def test_clamped_to_unit_interval(self, rng):
         # unclamped, E rounds above 1 on about one in five directions of
         # pure states, and h(E) stays finite there, so E itself is checked
-        def e_of(s, dirs):
-            bp = bloch_params(s)
-            return _bloch_length(bp, _transverse(bp, dirs), dirs[..., 2])[1]
-
         for _ in range(500):
             s = xstate_from_entries(*random_xstate_entries(rng))
             assert 0.0 <= e_of(s, random_unit_vector(rng)) <= 1.0
         dirs = np.array([random_unit_vector(rng) for _ in range(100)])
-        assert np.all(e_of(mixed_state, dirs) == 0.0)
         for p in np.linspace(0.0, 1.0, 21):
             coh = math.sqrt(p * (1.0 - p))
             for entries in ((p, 0.0, 0.0, 1.0 - p, coh, 0.0), (0.0, p, 1.0 - p, 0.0, 0.0, -coh)):
