@@ -24,7 +24,8 @@ import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from .discord import ali_candidate, discord_given_conditional_entropy
+# ali_candidate, discord_given_conditional_entropy: unused, bound for bench/run.py --trace 1
+from .discord import _discords, ali_candidate, discord_given_conditional_entropy  # noqa: F401
 from .entropy import LogBase
 from .errors import ParseError
 from .optimizer import SearchConfig, minimize_povm3, minimize_projective
@@ -107,14 +108,11 @@ def load_benchmarks() -> list[tuple[str, XState]]:
 
 
 def _compute_state(name: str, s: XState, cfg: SearchConfig, scale: float) -> StateResult:
+    """One state, solved in bits; delta2 is the projective solve's axis_value."""
     bits = LogBase.BITS
     r2 = minimize_projective(s, cfg, bits)
     r3 = minimize_povm3(s, cfg, bits, r2)
-    d3 = discord_given_conditional_entropy(
-        s, r3.best_value, (r3.best_weights, r3.best_euler), bits
-    ).value
-    d2m = discord_given_conditional_entropy(s, r2.best_value, r2.best_direction, bits).value
-    d2 = ali_candidate(s, bits).value
+    d3, d2m, d2 = _discords(s, (r3.best_value, r2.best_value, r2.axis_value), bits)
     w, e = r3.best_weights, r3.best_euler
     return StateResult(
         name=name,

@@ -7,8 +7,8 @@ subsystem A in a qubit state whose Bloch length is
 
 so the outcome contributes probability mu (1 + A mz) and entropy h(E).
 Every conditional entropy here is a weighted sum of one vectorized
-per-outcome term (1 + A mz) h(E) (_outcome_term), and discord follows
-as S(rho_B) - S(rho_AB) + min conditional entropy.
+per-outcome term (1 + A mz) h(E) (_outcome_term), and discord adds
+the minimum to S(rho_B) - S(rho_AB), which _discords takes once.
 
 Projective measurements reduce to one variable (conditional_entropy_plane),
 whose endpoints give delta2: the better of the z axis and the larger
@@ -69,7 +69,7 @@ def _outcome_term(bp, tt, mz, scale: float):
 
 def _transverse(bp, dirs):
     """(t1 mx)^2 + (t2 my)^2 of the directions in the last axis of dirs."""
-    return (bp.t1 * dirs[..., 0]) ** 2 + (bp.t2 * dirs[..., 1]) ** 2
+    return np.square(bp.t1 * dirs[..., 0]) + np.square(bp.t2 * dirs[..., 1])
 
 
 def _check_unit(m) -> np.ndarray:
@@ -97,13 +97,20 @@ def conditional_entropy_projective(s: XState, n, base: LogBase = LogBase.BITS) -
     return 0.5 * float(terms.sum())
 
 
+def _discords(s: XState, ces, base: LogBase) -> list[float]:
+    """S(rho_B) - S(rho_AB) + ce for each checked ce of ces, the entropies once."""
+    offset = marginal_entropy_b(s, base) - von_neumann_xstate(s, base)
+    for ce in ces:
+        if not -PROB_FLOOR <= ce < math.inf:  # NaN fails too
+            raise ValueError(f"conditional entropy {ce!r} is negative or not finite")
+    return [offset + ce for ce in ces]
+
+
 def discord_given_conditional_entropy(
     s: XState, ce: float, witness: Any, base: LogBase = LogBase.BITS
 ) -> DiscordValue:
     """Assemble a DiscordValue: S(rho_B) - S(rho_AB) + ce."""
-    if not -PROB_FLOOR <= ce < math.inf:  # NaN fails too
-        raise ValueError(f"conditional entropy {ce!r} is negative or not finite")
-    value = marginal_entropy_b(s, base) - von_neumann_xstate(s, base) + ce
+    [value] = _discords(s, (ce,), base)
     return DiscordValue(value=value, conditional_entropy=ce, base=base, witness=witness)
 
 
@@ -185,8 +192,8 @@ def ali_candidate(s: XState, base: LogBase = LogBase.BITS) -> DiscordValue:
 
     These are the axis candidates of Ali, Rau and Alber (PRA 81, 042105
     (2010)): the endpoints nz = 1 and nz = 0 of conditional_entropy_plane,
-    which minimize_projective scans too, so its optimum is never above
-    this one. Ties go to z.
+    which minimize_projective scans too (OptResult.axis_value), so its
+    optimum is never above this one. Ties go to z.
     """
     ce_z, ce_t = conditional_entropy_plane(s, (1.0, 0.0), base)
     nz, ce = (1.0, ce_z) if ce_z <= ce_t else (0.0, ce_t)

@@ -26,12 +26,12 @@ That bound is exact to its scans' resolution, not an interval bound.
 
 The projective solve's first scan reads the same bound for free: its
 points give G at +-nz, the whole of [-1, 1], and lam is the chord
-slope of G at the better axis. When the bound meets that axis's value
-(within CERT_TOL), the axis, an Ali-Rau-Alber candidate, is optimal
-over all POVMs to the scan's resolution, and both solves stop there:
-no later projective scans, no mirror solve. Only a first scan of at
-least REFINE_POINTS points is trusted for this; a coarser one can miss
-a dip of G below the chord.
+slope of G at the better axis, an Ali-Rau-Alber candidate. When the
+bound meets that axis's value within CERT_TOL, the axis is optimal
+over all POVMs to the scan's resolution and both solves stop there.
+A first scan of fewer than REFINE_POINTS points certifies nothing; a
+known limitation is that a larger one can still step over a narrow
+dip of G below the chord and certify a wrong axis (ROADMAP item 2).
 
 Either 3-element witness is a planar triangle that _plane_euler turns
 into the plane of the solves, its first direction on the mirror
@@ -88,22 +88,22 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Outcome of a measurement search.
+    """Outcome of a measurement search, in log base base.
 
-    best_value is the minimum conditional entropy found; the witness is
+    best_value is the minimum conditional entropy found; its witness is
     (best_weights, best_euler) for the 3-element case and
-    best_direction for the projective case. base is the log base of
-    best_value. n_evals counts the objective evaluations of the
-    search's own 1-D solve, over all its scans, and
-    converged reports whether the solve that produced best_value
-    narrowed its bracket to REFINE_TOL. lower_bound is a lower bound
-    on the conditional entropy of every POVM, read from a projective
-    first scan of at least REFINE_POINTS points, and -inf without one;
-    it is exact to that scan's resolution. When it is within CERT_TOL
-    of the projective value, that axis is certified: the projective
-    search stops after its first scan, n_evals counting that scan,
-    the 3-element search solves nothing, n_evals 0, and both report
-    converged.
+    best_direction for the projective case. n_evals counts the
+    objective evaluations of the search's own 1-D solve; converged
+    reports whether the solve that produced best_value narrowed its
+    bracket to REFINE_TOL. The projective first scan gives axis_value,
+    the conditional entropy of the better Ali-Rau-Alber axis (nz = 0
+    or 1, as discord.ali_candidate; inf with no scan), and lower_bound,
+    a bound on that of every POVM, exact to the scan's resolution, -inf
+    below REFINE_POINTS points; the 3-element search passes both on. At
+    a lower_bound within CERT_TOL of axis_value the axis is certified:
+    the projective search stops after its first scan, which n_evals
+    counts, and best_value is axis_value; the 3-element search solves
+    nothing, n_evals 0; both report converged.
     """
 
     best_value: float
@@ -114,6 +114,7 @@ class OptResult:
     best_euler: EulerAngles | None = None
     best_direction: tuple[float, float, float] | None = None
     lower_bound: float = -math.inf
+    axis_value: float = math.inf
 
 
 def _scan(f, lo: float, hi: float, ramp):
@@ -157,8 +158,8 @@ def minimize_projective(
     conditional_entropy_plane, whose z-component nz is solved over
     [0, 1]; both endpoints, the ali_candidate axes, are scanned. The
     direction returned lies in the xz or the yz plane. The first scan
-    gives lower_bound, and the better axis returns at once when the
-    bound certifies it (module docstring).
+    gives lower_bound and axis_value, and the better axis returns at
+    once when the bound certifies it (module docstring).
     """
     halves = _plane_halves(s, base)
     grid, (up, down) = _scan(halves, 0.0, 1.0, np.arange(cfg.n_global_samples, dtype=float))
@@ -186,6 +187,7 @@ def minimize_projective(
         base=base,
         best_direction=plane_direction(s, nz),
         lower_bound=lower_bound,
+        axis_value=float(vals[i]),
     )
 
 
@@ -252,4 +254,5 @@ def minimize_povm3(
         best_weights=weights,
         best_euler=_plane_euler(s, n),
         lower_bound=proj.lower_bound,
+        axis_value=proj.axis_value,
     )

@@ -47,13 +47,9 @@ class PovmWeights:
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             if mus[j] + mus[k] - mus[i] < TRIANGLE_MARGIN:
-                raise DegenerateError(
-                    f"weights {mus} violate mu_{i+1} < sum of others"
-                )
+                raise DegenerateError(f"weights {mus} violate mu_{i+1} < sum of others")
             if mus[i] - abs(mus[j] - mus[k]) < TRIANGLE_MARGIN:
-                raise DegenerateError(
-                    f"weights {mus} violate mu_{i+1} > difference of others"
-                )
+                raise DegenerateError(f"weights {mus} violate mu_{i+1} > difference of others")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.mu1, self.mu2, self.mu3])

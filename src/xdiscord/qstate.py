@@ -59,13 +59,9 @@ class XState:
             if getattr(self, name) < -INTERNAL_TOL:
                 raise PositivityError(f"negative population {name}={getattr(self, name)!r}")
         if self.a * self.d < self.eps**2 - INTERNAL_TOL:
-            raise PositivityError(
-                f"a*d = {self.a * self.d!r} < eps^2 = {self.eps**2!r}"
-            )
+            raise PositivityError(f"a*d = {self.a * self.d!r} < eps^2 = {self.eps**2!r}")
         if self.b * self.c < self.delta**2 - INTERNAL_TOL:
-            raise PositivityError(
-                f"b*c = {self.b * self.c!r} < delta^2 = {self.delta**2!r}"
-            )
+            raise PositivityError(f"b*c = {self.b * self.c!r} < delta^2 = {self.delta**2!r}")
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,15 @@ from xdiscord.cli import (
     render_table,
     run_report,
 )
-from xdiscord import cli, errors, optimizer
-from xdiscord.discord import discord_given_conditional_entropy
+from xdiscord import cli, discord, errors, optimizer
+from xdiscord.discord import (
+    ali_candidate,
+    conditional_entropy_plane,
+    discord_given_conditional_entropy,
+)
 from xdiscord.entropy import LogBase
 from xdiscord.errors import ParseError
-from xdiscord.optimizer import SearchConfig
+from xdiscord.optimizer import CERT_TOL, SearchConfig, minimize_povm3, minimize_projective
 from xdiscord.povm import EulerAngles, PovmWeights, build_povm3
 from xdiscord.qstate import xstate_from_entries
 
@@ -168,6 +172,29 @@ class TestRunReport:
         assert (y.delta3_min, y.delta2_min, y.delta2) == (
             swap.delta3_min, swap.delta2_min, swap.delta2
         )
+
+    def test_certified_state_assembled_once(self, monkeypatch):
+        # delta2 comes from the projective first scan and S(rho_B) -
+        # S(rho_AB) is taken once: on a certified axis the plane kernel
+        # runs once per state, the von Neumann entropy once
+        s = xstate_from_entries(*random_xstate_entries(np.random.default_rng(7)))
+        r2 = minimize_projective(s)
+        assert r2.lower_bound >= r2.best_value - CERT_TOL
+        calls = []
+
+        def counted(name):
+            fn = getattr(discord, name)
+
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(discord, name, call)
+
+        counted("_outcome_term")
+        counted("von_neumann_xstate")
+        run_report([("s", s)], SearchConfig(), LogBase.BITS)
+        assert sorted(calls) == ["_outcome_term", "von_neumann_xstate"]
 
     def test_projective_solved_once_per_state(self, monkeypatch):
         calls = []
@@ -322,13 +349,40 @@ def test_edge_states_valid_or_typed_error(entries):
 # degenerate (projective) optimum, whose triangle angles the solve must
 # take as exactly as the rebuilt witness does; these solve, so a typed
 # error on them fails
-@pytest.mark.parametrize("entries", [(0.5, 0.0, 0.5, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5, 0.0, 0.0),
-                                     (0.28, 0.42, 0.12, 0.18, 0.0, 0.0)],
-                         ids=["a_plus1", "a_minus1", "product"])
+ZERO_PROBABILITY_ENTRIES = [(0.5, 0.0, 0.5, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5, 0.0, 0.0),
+                            (0.28, 0.42, 0.12, 0.18, 0.0, 0.0)]
+ZERO_PROBABILITY_IDS = ["a_plus1", "a_minus1", "product"]
+
+
+@pytest.mark.parametrize("entries", ZERO_PROBABILITY_ENTRIES, ids=ZERO_PROBABILITY_IDS)
 def test_zero_probability_states_solve(entries):
     s = xstate_from_entries(*entries)
     [r] = run_report([("edge", s)], SearchConfig(), LogBase.BITS).results
     check_edge_result(s, r)
+
+
+def check_axis_value(entries):
+    # delta2 is the axis value of the projective first scan, bit for bit
+    # ali_candidate's; run_report solves in bits and scales to nats
+    s = xstate_from_entries(*entries)
+    for base, scale in ((LogBase.BITS, 1.0), (LogBase.NATS, math.log(2.0))):
+        [r] = run_report([("s", s)], SearchConfig(), base).results
+        assert r.delta2 == ali_candidate(s, LogBase.BITS).value * scale
+        r2 = minimize_projective(s, SearchConfig(), base)
+        assert r2.axis_value == min(conditional_entropy_plane(s, (1.0, 0.0), base))
+        assert minimize_povm3(s, SearchConfig(), base, r2).axis_value == r2.axis_value
+
+
+@pytest.mark.parametrize("entries", [*BENCH_ENTRIES.values(), *ZERO_PROBABILITY_ENTRIES],
+                         ids=[*BENCH_ENTRIES, *ZERO_PROBABILITY_IDS])
+def test_delta2_is_the_scanned_axis_value(entries):
+    check_axis_value(entries)
+
+
+@settings(max_examples=40)
+@given(st.one_of(positive_xstates(), edge_xstates()))
+def test_delta2_is_the_scanned_axis_value_generated(entries):
+    check_axis_value(entries)
 
 
 @settings(max_examples=120)

@@ -215,6 +215,16 @@ class TestBlochLength:
                 assert 1.0 - 1e-14 <= e.min() and e.max() <= 1.0, entries
 
 
+def test_transverse_of_one_direction_as_in_an_array():
+    # one direction's components are numpy scalars, where ** 2 is libm
+    # pow and can round 1 ulp away from the same square in an array
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        bp = bloch_params(xstate_from_entries(*random_xstate_entries(rng)))
+        n = random_unit_vector(rng)
+        assert _transverse(bp, n) == _transverse(bp, np.stack([n, n]))[0]
+
+
 class TestPlaneKernel:
     def test_outcome_term_at_least_plane_term(self, rng):
         # one outcome's term g(m) = (1 + A mz) h(E(m)), from the dense
